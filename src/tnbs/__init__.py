@@ -6,7 +6,6 @@ from .model import (
     Scaling,
     TnbsModel,
     build_regressors,
-    fit_scaling,
     rmse,
 )
 from .solver import (
@@ -33,7 +32,6 @@ from .synth import (
 from .tensor import (
     DENSE_CAP,
     TensorTrain,
-    contract,
     inner,
     orthogonalize_to_site,
     shift_core,
@@ -46,13 +44,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisConfig", "basis_rows", "eval_basis", "make_basis", "out_of_domain_count",
-    "LagSpec", "Scaling", "TnbsModel", "build_regressors", "fit_scaling", "rmse",
+    "LagSpec", "Scaling", "TnbsModel", "build_regressors", "rmse",
     "FitConfig", "NumericalError", "SweepTrace", "als_fit", "build_design_matrix",
     "build_penalty_matrix", "cross_validate_lambda", "dense_penalty",
     "difference_matrix", "update_core",
     "SynthDataset", "SynthSpec", "add_noise", "generate_input", "generate_output",
     "generate_true_weights", "make_dataset",
-    "DENSE_CAP", "TensorTrain", "contract", "inner", "orthogonalize_to_site",
+    "DENSE_CAP", "TensorTrain", "inner", "orthogonalize_to_site",
     "shift_core", "tt_svd", "tt_to_full", "vectorize",
     "__version__",
 ]

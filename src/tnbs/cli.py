@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -40,10 +41,13 @@ def read_signal_csv(path) -> tuple[np.ndarray, np.ndarray]:
             if len(row) != 2:
                 raise ValueError(f"{path}: row {line_no}: expected 2 columns, got {len(row)}")
             try:
-                u.append(float(row[0]))
-                y.append(float(row[1]))
+                a, b = float(row[0]), float(row[1])
             except ValueError:
                 raise ValueError(f"{path}: row {line_no}: cannot parse {row!r} as numbers") from None
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"{path}: row {line_no}: non-finite value")
+            u.append(a)
+            y.append(b)
     if not u:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(u), np.asarray(y)

@@ -101,11 +101,6 @@ class Scaling:
         return self.y_min + np.asarray(v, dtype=float) * (self.y_max - self.y_min)
 
 
-def fit_scaling(u, y) -> Scaling:
-    """Min-max scaling fitted from (estimation) data."""
-    return Scaling.fit(u, y)
-
-
 def _as_signal(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
@@ -180,21 +175,17 @@ class TnbsModel:
             raise ValueError(
                 f"expected {self.lags.dimension} coordinates, got shape {x.shape}"
             )
-        return self._surface_point(x)
-
-    def _surface_point(self, x: np.ndarray) -> float:
-        # One basis_rows call covers all dimensions: the basis is shared.
-        bmat = basis_rows(self.basis, x)
-        v = np.ones(1)
-        for p, core in enumerate(self.weights.cores):
-            v = v @ np.tensordot(bmat[p], core, axes=(0, 1))
-        return float(v[0])
+        return float(self._surface_rows(x[None, :])[0])
 
     def _surface_rows(self, xs: np.ndarray) -> np.ndarray:
         """Surface values for a batch of scaled regressor rows, shape (n, d)."""
-        v = np.ones((xs.shape[0], 1))
-        for p, core in enumerate(self.weights.cores):
-            b = basis_rows(self.basis, xs[:, p])
+        n, d = xs.shape
+        # One basis_rows call covers all dimensions (the basis is shared);
+        # column-major flattening keeps each dimension's rows contiguous.
+        bmats = basis_rows(self.basis, xs.reshape(-1, order="F"))
+        bmats = bmats.reshape(d, n, self.basis.basis_count)
+        v = np.ones((n, 1))
+        for b, core in zip(bmats, self.weights.cores):
             v = np.einsum("na,nac->nc", v, np.einsum("ni,aic->nac", b, core))
         return v[:, 0]
 
@@ -245,7 +236,7 @@ class TnbsModel:
                 x[i] = us[t - l]
             for i, l in enumerate(out_lags):
                 x[n_in + i] = hist[t - l]
-            s = self._surface_point(x)
+            s = float(self._surface_rows(x[None, :])[0])
             out[t - t0] = s
             hist[t] = min(max(s, 0.0), 1.0)
         return self.scaling.unscale_y(out)

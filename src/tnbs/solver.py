@@ -7,6 +7,14 @@ weights along every dimension) reduce to quadratic forms with the same
 Kronecker structure. Sweeping keeps the train mixed-canonical at the updated
 core via QR steps, which makes the local objective equal the global one and
 the iteration monotone.
+
+Each step has one implementation, run by the sweep: ``_kron_rows`` builds the
+design rows, ``_accumulated_penalties`` with ``_add_penalties`` collapses the
+penalties onto the updated core, ``_solve_core`` solves (Cholesky on the
+normal matrix, escalating to a stacked minimal-norm least squares), and
+``tensor._qr_shift`` moves the canonical site. The public
+``build_design_matrix``, ``build_penalty_matrix`` and ``update_core`` are thin
+views over these kernels, so the checks on them exercise the fit's own path.
 """
 
 from __future__ import annotations
@@ -17,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .bspline import BasisConfig, basis_rows
+from .bspline import BasisConfig, basis_rows, out_of_domain_count
 from .model import LagSpec, Scaling, TnbsModel, build_regressors, rmse, _as_signal
-from .tensor import TensorTrain, orthogonalize_to_site, _split_core_left, _split_core_right
+from .tensor import TensorTrain, orthogonalize_to_site, _qr_shift
 
 
 class NumericalError(RuntimeError):
@@ -165,34 +173,6 @@ def build_design_matrix(tt: TensorTrain, basis_mats, p: int) -> np.ndarray:
     return _kron_rows(right, basis_mats[p], left)
 
 
-def _gram_through_chain(cores, d_mat, j, p):
-    """Gram matrix of the chain between dimension j and core p.
-
-    Cores strictly between the canonical site and j are orthogonal by
-    assumption, so the accumulation starts at j with the difference matrix
-    applied to that core's middle index.
-    """
-    modified = np.tensordot(d_mat, cores[j], axes=(1, 1)).transpose(1, 0, 2)
-    if j < p:
-        e = np.einsum("aic,aid->cd", modified, modified)
-        for q in range(j + 1, p):
-            e = np.einsum("ab,aic,bid->cd", e, cores[q], cores[q])
-        return e
-    e = np.einsum("aic,bic->ab", modified, modified)
-    for q in range(j - 1, p, -1):
-        e = np.einsum("aic,bid,cd->ab", cores[q], cores[q], e)
-    return e
-
-
-def _penalty_matrix(cores, d_mat, p: int, j: int) -> np.ndarray:
-    r_prev, k, r_next = cores[p].shape
-    if j == p:
-        return np.kron(np.eye(r_next), np.kron(d_mat.T @ d_mat, np.eye(r_prev)))
-    if j < p:
-        return np.kron(np.eye(r_next), np.kron(np.eye(k), _gram_through_chain(cores, d_mat, j, p)))
-    return np.kron(_gram_through_chain(cores, d_mat, j, p), np.kron(np.eye(k), np.eye(r_prev)))
-
-
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(m)
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
@@ -284,6 +264,8 @@ def build_penalty_matrix(tt: TensorTrain, d_mat: np.ndarray, p: int, j: int) -> 
     With the train canonical at p, the factors left and right of the penalized
     dimension collapse to identities except for the Gram of the chain segment
     between j and p, so only one of the three Kronecker factors is non-trivial.
+    This is the fit's own accumulation with a unit weight on dimension j only,
+    written into a zero matrix.
     """
     d_mat = np.asarray(d_mat, dtype=float)
     if tt.canonical_site != p:
@@ -297,7 +279,12 @@ def build_penalty_matrix(tt: TensorTrain, d_mat: np.ndarray, p: int, j: int) -> 
             f"difference matrix has {d_mat.shape[1]} columns but dimension {j} "
             f"has extent {tt.cores[j].shape[1]}"
         )
-    return _penalty_matrix(tt.cores, d_mat, p, j)
+    lambdas = [0.0] * tt.order
+    lambdas[j] = 1.0
+    om = np.zeros((tt.cores[p].size, tt.cores[p].size))
+    _add_penalties(om, *_accumulated_penalties(tt.cores, d_mat, lambdas, p), d_mat,
+                   tt.cores[p].shape)
+    return om
 
 
 def _cholesky_solve(h, rhs):
@@ -310,12 +297,34 @@ def _cholesky_solve(h, rhs):
     return g if np.isfinite(g).all() else None
 
 
+def _solve_core(a_mat, targets, h, root_blocks, objective=None, bound=None):
+    """Minimize ||targets - A g||^2 + ||R g||^2 for one vectorized core.
+
+    ``h`` is the normal matrix A'A + R'R and ``root_blocks()`` lists the row
+    blocks of R. Cholesky on ``h`` is the fast path. The minimal-norm least
+    squares on the stacked [A; R], accurate where the normal equations lose
+    digits, takes over when the factorization fails or when ``objective`` of
+    the fast solution exceeds ``bound``. Returns (g, objective(g) or None,
+    condition number of the stack or None when the fast path was kept).
+    """
+    g = _cholesky_solve(h, a_mat.T @ targets)
+    obj = objective(g) if (g is not None and objective is not None) else None
+    if g is not None and not (bound is not None and obj > bound):
+        return g, obj, None
+    stacked = np.vstack([a_mat] + root_blocks())
+    rhs = np.concatenate([targets, np.zeros(stacked.shape[0] - len(targets))])
+    g, _, _, sv = np.linalg.lstsq(stacked, rhs, rcond=None)
+    cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
+    return g, (objective(g) if objective is not None else None), cond
+
+
 def update_core(a_mat, targets, penalty_mats, lambdas) -> np.ndarray:
     """Solve the penalized normal equations for one vectorized core.
 
-    Minimizes ||targets - A g||^2 + sum_j lambda_j g' Omega_j g via a
-    symmetric solve, falling back to the minimal-norm solution when the
-    system is singular.
+    Minimizes ||targets - A g||^2 + sum_j lambda_j g' Omega_j g with the
+    fit's core solve: Cholesky on the normal matrix, falling back to the
+    minimal-norm least squares on A stacked over the penalty's square root
+    when the system is singular.
     """
     a_mat = np.asarray(a_mat, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -328,15 +337,15 @@ def update_core(a_mat, targets, penalty_mats, lambdas) -> np.ndarray:
     if not np.isfinite(a_mat).all() or not np.isfinite(targets).all():
         raise NumericalError("non-finite values in the least-squares subproblem")
     h = a_mat.T @ a_mat
+    pen = None
     for om, lam in zip(penalty_mats, lambdas):
         if lam != 0.0:
-            h = h + lam * np.asarray(om, dtype=float)
-    rhs = a_mat.T @ targets
-    g = _cholesky_solve(h, rhs)
-    if g is not None:
-        return g
-    # Singular system: minimal-norm solution of the (consistent) normal equations.
-    return np.linalg.lstsq(h, rhs, rcond=None)[0]
+            term = lam * np.asarray(om, dtype=float)
+            pen = term if pen is None else pen + term
+    if pen is not None:
+        h = h + pen
+    roots = (lambda: []) if pen is None else (lambda: [_psd_sqrt(pen)])
+    return _solve_core(a_mat, targets, h, roots)[0]
 
 
 def als_fit(u, y, lags: LagSpec, basis: BasisConfig, cfg: FitConfig,
@@ -355,7 +364,7 @@ def als_fit(u, y, lags: LagSpec, basis: BasisConfig, cfg: FitConfig,
     return _fit_rows(x_rows, targets, lags, basis, cfg, scaling)
 
 
-def _fit_rows(x_rows, targets, lags, basis, cfg, scaling, initial_cores=None):
+def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
     """ALS on prebuilt regressor rows (shared by als_fit and cross-validation)."""
     n, d = x_rows.shape
     if d != lags.dimension:
@@ -373,18 +382,15 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling, initial_cores=None):
     dmat = difference_matrix(k, cfg.penalty_order)
 
     rng = np.random.default_rng(cfg.seed)
-    if initial_cores is None:
-        cores = [
-            rng.standard_normal((ranks[p], k, ranks[p + 1])) / np.sqrt(ranks[p] * k)
-            for p in range(d)
-        ]
-    else:
-        cores = [np.asarray(c, dtype=float) for c in initial_cores]
+    cores = [
+        rng.standard_normal((ranks[p], k, ranks[p + 1])) / np.sqrt(ranks[p] * k)
+        for p in range(d)
+    ]
     cores = list(orthogonalize_to_site(TensorTrain(tuple(cores)), 0).cores)
 
     basis_mats = [basis_rows(basis, x_rows[:, p]) for p in range(d)]
     trace = SweepTrace()
-    trace.clipped_regressors = int(np.count_nonzero((x_rows < 0.0) | (x_rows > 1.0)))
+    trace.clipped_regressors = out_of_domain_count(x_rows)
 
     # Cached partial chain products per sample; refreshed as the sweep moves.
     left = [None] * d
@@ -406,31 +412,23 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling, initial_cores=None):
         if not np.isfinite(a_mat).all() or not np.isfinite(tv).all():
             raise NumericalError("non-finite values in the least-squares subproblem")
         shape = cores[p].shape
-        pen_left, lam_mid, pen_right = _accumulated_penalties(cores, dmat, lambdas, p)
+        pens = _accumulated_penalties(cores, dmat, lambdas, p)
 
         def subproblem_objective(g):
             resid = tv - a_mat @ g
-            return float(resid @ resid) + _penalty_value(g, pen_left, lam_mid, pen_right,
-                                                         dmat, shape)
+            return float(resid @ resid) + _penalty_value(g, *pens, dmat, shape)
 
         h = a_mat.T @ a_mat
-        _add_penalties(h, pen_left, lam_mid, pen_right, dmat, shape)
-        g = _cholesky_solve(h, a_mat.T @ tv)
-        obj = subproblem_objective(g) if g is not None else None
-        # The exact minimizer cannot raise the running objective; escalate to
-        # a stacked minimal-norm least squares (accurate where the normal
-        # equations lose digits) when the fast path fails or loses descent.
+        _add_penalties(h, *pens, dmat, shape)
+        # The exact minimizer cannot raise the running objective, so a fast
+        # solve that does is redone by the stacked least squares.
         prev = trace.update_objectives[-1] if (trace.update_objectives and batch is None) else None
-        if g is None or (prev is not None and obj > prev):
-            blocks = [a_mat] + _penalty_root_blocks(pen_left, lam_mid, pen_right, dmat, shape)
-            stacked = np.vstack(blocks)
-            rhs = np.concatenate([tv, np.zeros(stacked.shape[0] - len(tv))])
-            g, _, _, sv = np.linalg.lstsq(stacked, rhs, rcond=None)
+        g, obj, cond = _solve_core(a_mat, tv, h,
+                                   lambda: _penalty_root_blocks(*pens, dmat, shape),
+                                   subproblem_objective, prev)
+        if cond is not None:
             trace.fallback_solves += 1
-            trace.fallback_conditions.append(
-                float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
-            )
-            obj = subproblem_objective(g)
+            trace.fallback_conditions.append(cond)
         if prev is not None and obj > prev:
             # Coordinate descent may always reject a non-improving step; the
             # current core already attains the previous objective.
@@ -447,13 +445,11 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling, initial_cores=None):
         for i, p in enumerate(forward):
             update(p, first_of_sweep=(i == 0))
             if d > 1:
-                cores[p], r_fac = _split_core_right(cores[p])
-                cores[p + 1] = np.tensordot(r_fac, cores[p + 1], axes=(1, 0))
+                _qr_shift(cores, p, 1)
                 left[p + 1] = _fold_left(left[p], cores[p], basis_mats[p])
         for p in range(d - 1, 0, -1):
             update(p, first_of_sweep=False)
-            cores[p], l_fac = _split_core_left(cores[p])
-            cores[p - 1] = np.tensordot(cores[p - 1], l_fac, axes=(2, 0))
+            _qr_shift(cores, p, -1)
             right[p - 1] = _fold_right(cores[p], basis_mats[p], right[p])
         trace.sweeps_run = sweep
         js = trace.first_core_objectives

@@ -23,26 +23,6 @@ def vectorize(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float).reshape(-1, order="F")
 
 
-def contract(a: np.ndarray, b: np.ndarray, axis_a: int, axis_b: int) -> np.ndarray:
-    """Contract axis ``axis_a`` of ``a`` with axis ``axis_b`` of ``b``.
-
-    The result carries a's remaining axes followed by b's remaining axes.
-    Contracting singleton axes realizes the outer product.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not 0 <= axis_a < a.ndim:
-        raise ValueError(f"axis {axis_a} out of range for tensor of order {a.ndim}")
-    if not 0 <= axis_b < b.ndim:
-        raise ValueError(f"axis {axis_b} out of range for tensor of order {b.ndim}")
-    if a.shape[axis_a] != b.shape[axis_b]:
-        raise ValueError(
-            f"cannot contract extent {a.shape[axis_a]} (axis {axis_a}) "
-            f"with extent {b.shape[axis_b]} (axis {axis_b})"
-        )
-    return np.tensordot(a, b, axes=(axis_a, axis_b))
-
-
 def inner(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of entry-wise products of two equal-shaped tensors."""
     a = np.asarray(a, dtype=float)
@@ -202,18 +182,22 @@ def _qr_fixed(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def _split_core_right(core: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor a core into a left-orthogonal core and the matrix to push right."""
-    r1, k, r2 = core.shape
-    q, r = _qr_fixed(core.reshape(r1 * k, r2, order="F"))
-    return q.reshape(r1, k, r2, order="F"), r
+def _qr_shift(cores: list, p: int, step: int) -> None:
+    """Move the canonical site from core p to p + step (step is 1 or -1), in place.
 
-
-def _split_core_left(core: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor a core into a right-orthogonal core and the matrix to push left."""
-    r1, k, r2 = core.shape
-    q, r = _qr_fixed(core.reshape(r1, k * r2, order="F").T)
-    return q.T.reshape(r1, k, r2, order="F"), r.T
+    One QR step: core p becomes left-orthogonal (step 1) or right-orthogonal
+    (step -1), and the triangular factor is absorbed into the neighbour, so
+    the represented tensor is unchanged.
+    """
+    r1, k, r2 = cores[p].shape
+    if step > 0:
+        q, r = _qr_fixed(cores[p].reshape(r1 * k, r2, order="F"))
+        cores[p] = q.reshape(r1, k, r2, order="F")
+        cores[p + 1] = np.tensordot(r, cores[p + 1], axes=(1, 0))
+    else:
+        q, r = _qr_fixed(cores[p].reshape(r1, k * r2, order="F").T)
+        cores[p] = q.T.reshape(r1, k, r2, order="F")
+        cores[p - 1] = np.tensordot(cores[p - 1], r.T, axes=(2, 0))
 
 
 def orthogonalize_to_site(tt: TensorTrain, site: int) -> TensorTrain:
@@ -222,11 +206,9 @@ def orthogonalize_to_site(tt: TensorTrain, site: int) -> TensorTrain:
         raise ValueError(f"site {site} out of range for order {tt.order}")
     cores = list(tt.cores)
     for p in range(site):
-        cores[p], r = _split_core_right(cores[p])
-        cores[p + 1] = np.tensordot(r, cores[p + 1], axes=(1, 0))
+        _qr_shift(cores, p, 1)
     for p in range(tt.order - 1, site, -1):
-        cores[p], l = _split_core_left(cores[p])
-        cores[p - 1] = np.tensordot(cores[p - 1], l, axes=(2, 0))
+        _qr_shift(cores, p, -1)
     return TensorTrain(tuple(cores), canonical_site=site)
 
 
@@ -236,17 +218,12 @@ def shift_core(tt: TensorTrain, p: int, direction: str) -> TensorTrain:
         raise ValueError(
             f"train is canonical at {tt.canonical_site}, cannot shift from core {p}"
         )
+    if direction not in ("left", "right"):
+        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    step = 1 if direction == "right" else -1
+    if not 0 <= p + step < tt.order:
+        end = "last" if step > 0 else "first"
+        raise ValueError(f"cannot shift {direction} past the {end} core")
     cores = list(tt.cores)
-    if direction == "right":
-        if p >= tt.order - 1:
-            raise ValueError("cannot shift right past the last core")
-        cores[p], r = _split_core_right(cores[p])
-        cores[p + 1] = np.tensordot(r, cores[p + 1], axes=(1, 0))
-        return TensorTrain(tuple(cores), canonical_site=p + 1)
-    if direction == "left":
-        if p <= 0:
-            raise ValueError("cannot shift left past the first core")
-        cores[p], l = _split_core_left(cores[p])
-        cores[p - 1] = np.tensordot(cores[p - 1], l, axes=(2, 0))
-        return TensorTrain(tuple(cores), canonical_site=p - 1)
-    raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    _qr_shift(cores, p, step)
+    return TensorTrain(tuple(cores), canonical_site=p + step)

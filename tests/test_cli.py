@@ -127,6 +127,17 @@ def test_malformed_csv_reports_row(tmp_path, capsys):
     assert "row 3" in capsys.readouterr().err
 
 
+def test_non_finite_csv_value_reports_file_and_row(tmp_path, capsys):
+    bad = tmp_path / "nan.csv"
+    bad.write_text("u,y\n0.1,0.2\n0.3,nan\n0.5,0.6\n")
+    code = main(["fit", "--data", str(bad), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "row 3" in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_wrong_header_rejected(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n0.1,0.2\n")

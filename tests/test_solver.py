@@ -305,6 +305,23 @@ class TestAlsFit:
         objs = trace.update_objectives
         assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
 
+    @pytest.mark.parametrize("lam", [0.05, (0.1, 0.0, 0.02)])
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_final_objective_matches_dense_oracle(self, lam, alpha):
+        # The objective the sweep records is the global one: data misfit of
+        # the fitted model plus every dimension's penalty on the dense tensor.
+        data, spec, basis, cfg = small_problem(seed=14, lam=lam, alpha=alpha)
+        model, trace = als_fit(data.u_est, data.y_est, spec.lags, basis, cfg,
+                               scaling=Scaling.identity())
+        resid = data.y_est[spec.lags.start_index:] - model.predict(data.u_est, data.y_est)
+        full = tt_to_full(model.weights)
+        dmat = difference_matrix(basis.basis_count, alpha)
+        lams = cfg.resolved_lambdas(3)
+        ref = float(resid @ resid) + sum(
+            lams[j] * dense_penalty(full, dmat, j) for j in range(3)
+        )
+        assert abs(trace.update_objectives[-1] - ref) <= 1e-12 * ref
+
     def test_lambda_vector_wrong_length(self):
         data, spec, basis, cfg = small_problem(seed=9)
         cfg_v = dataclasses.replace(cfg, lambdas=(0.1, 0.2))

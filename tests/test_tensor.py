@@ -3,7 +3,6 @@ import pytest
 
 from tnbs import (
     TensorTrain,
-    contract,
     inner,
     orthogonalize_to_site,
     shift_core,
@@ -42,42 +41,6 @@ class TestVectorize:
             for j in range(3):
                 for l in range(2):
                     assert v[i + j * k1 + l * k1 * k2] == a[i, j, l]
-
-
-class TestContract:
-    def test_identity_contraction(self):
-        out = contract(np.eye(2), np.array([3.0, 4.0]), 1, 0)
-        assert np.allclose(out, [3.0, 4.0])
-
-    def test_singleton_outer_product(self):
-        out = contract(np.array([[2.0]]), np.array([[5.0]]), 0, 0)
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 10.0
-
-    def test_against_loop_oracle(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((2, 3, 4))
-        b = rng.standard_normal((4, 2, 5))
-        out = contract(a, b, 2, 0)
-        assert out.shape == (2, 3, 2, 5)
-        ref = np.zeros((2, 3, 2, 5))
-        for i1 in range(2):
-            for i2 in range(3):
-                for i4 in range(2):
-                    for i5 in range(5):
-                        ref[i1, i2, i4, i5] = sum(
-                            a[i1, i2, i3] * b[i3, i4, i5] for i3 in range(4)
-                        )
-        assert np.allclose(out, ref, atol=1e-12)
-
-    def test_extent_mismatch_names_both(self):
-        with pytest.raises(ValueError) as exc:
-            contract(np.zeros((2, 3)), np.zeros((4, 2)), 1, 0)
-        assert "3" in str(exc.value) and "4" in str(exc.value)
-
-    def test_axis_out_of_range(self):
-        with pytest.raises(ValueError):
-            contract(np.zeros((2, 2)), np.zeros((2, 2)), 2, 0)
 
 
 class TestInner:
