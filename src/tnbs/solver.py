@@ -10,8 +10,8 @@ the iteration monotone.
 
 Each step has one implementation, run by the sweep: ``_kron_rows`` builds the
 design rows, ``_accumulated_penalties`` with ``_add_penalties`` collapses the
-penalties onto the updated core, ``_solve_core`` solves (Cholesky on the
-normal matrix, escalating to a stacked minimal-norm least squares), and
+penalties onto the updated core, ``_solve_core`` solves (an LU solve of the
+normal equations, escalating to a stacked minimal-norm least squares), and
 ``tensor._qr_shift`` moves the canonical site. The public
 ``build_design_matrix``, ``build_penalty_matrix`` and ``update_core`` are thin
 views over these kernels, so the checks on them exercise the fit's own path.
@@ -23,7 +23,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .bspline import BasisConfig, basis_rows, out_of_domain_count
 from .model import LagSpec, Scaling, TnbsModel, build_regressors, rmse, _as_signal
@@ -59,7 +58,7 @@ class FitConfig:
             raise ValueError("penalty order must be non-negative")
         if self.max_sweeps < 1:
             raise ValueError("need at least one sweep")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("stopping tolerance must be non-negative")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch size must be positive")
@@ -84,20 +83,23 @@ class FitConfig:
             lams = tuple(float(l) for l in self.lambdas)
             if len(lams) != d:
                 raise ValueError(f"need {d} penalty weights, got {len(lams)}")
-        if any(l < 0 for l in lams):
-            raise ValueError("penalty weights must be non-negative")
+        if not all(0 <= l < np.inf for l in lams):
+            raise ValueError("penalty weights must be finite and non-negative")
         return lams
 
 
 @dataclass
 class SweepTrace:
-    """Objective values and diagnostics recorded while fitting."""
+    """Objective values and diagnostics recorded while fitting.
+
+    ``fallback_solves`` counts the core updates solved by the stacked least
+    squares instead of the normal equations.
+    """
 
     first_core_objectives: list[float] = field(default_factory=list)
     update_objectives: list[float] = field(default_factory=list)
     clipped_regressors: int = 0
     fallback_solves: int = 0
-    fallback_conditions: list[float] = field(default_factory=list)
     sweeps_run: int = 0
     stopped_early: bool = False
 
@@ -287,44 +289,38 @@ def build_penalty_matrix(tt: TensorTrain, d_mat: np.ndarray, p: int, j: int) -> 
     return om
 
 
-def _cholesky_solve(h, rhs):
-    """Symmetric positive-definite solve; None when the factorization fails."""
-    try:
-        cf = scipy.linalg.cho_factor(h, lower=True, check_finite=False)
-        g = scipy.linalg.cho_solve(cf, rhs, check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
-    return g if np.isfinite(g).all() else None
-
-
 def _solve_core(a_mat, targets, h, root_blocks, objective=None, bound=None):
     """Minimize ||targets - A g||^2 + ||R g||^2 for one vectorized core.
 
     ``h`` is the normal matrix A'A + R'R and ``root_blocks()`` lists the row
-    blocks of R. Cholesky on ``h`` is the fast path. The minimal-norm least
-    squares on the stacked [A; R], accurate where the normal equations lose
-    digits, takes over when the factorization fails or when ``objective`` of
-    the fast solution exceeds ``bound``. Returns (g, objective(g) or None,
-    condition number of the stack or None when the fast path was kept).
+    blocks of R. The fast route solves the normal equations with numpy's LU.
+    The minimal-norm least squares on the stacked [A; R], accurate where the
+    normal equations lose digits, takes over when that solve fails or is not
+    finite, or when ``objective`` of its solution exceeds ``bound`` by more
+    than the rounding of a sum of ``len(targets)`` squares. Returns
+    (g, objective(g) or None, whether the stacked route was taken).
     """
-    g = _cholesky_solve(h, a_mat.T @ targets)
-    obj = objective(g) if (g is not None and objective is not None) else None
-    if g is not None and not (bound is not None and obj > bound):
-        return g, obj, None
+    try:
+        g = np.linalg.solve(h, a_mat.T @ targets)
+    except np.linalg.LinAlgError:
+        g = None
+    if g is not None and np.isfinite(g).all():
+        obj = objective(g) if objective is not None else None
+        if bound is None or obj <= bound * (1.0 + len(targets) * np.finfo(float).eps):
+            return g, obj, False
     stacked = np.vstack([a_mat] + root_blocks())
     rhs = np.concatenate([targets, np.zeros(stacked.shape[0] - len(targets))])
-    g, _, _, sv = np.linalg.lstsq(stacked, rhs, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0 else float("inf")
-    return g, (objective(g) if objective is not None else None), cond
+    g = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
+    return g, (objective(g) if objective is not None else None), True
 
 
 def update_core(a_mat, targets, penalty_mats, lambdas) -> np.ndarray:
     """Solve the penalized normal equations for one vectorized core.
 
     Minimizes ||targets - A g||^2 + sum_j lambda_j g' Omega_j g with the
-    fit's core solve: Cholesky on the normal matrix, falling back to the
-    minimal-norm least squares on A stacked over the penalty's square root
-    when the system is singular.
+    fit's core solve: an LU solve of the normal equations, falling back to
+    the minimal-norm least squares on A stacked over the penalty's square
+    root when the system is singular.
     """
     a_mat = np.asarray(a_mat, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -421,14 +417,13 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
         h = a_mat.T @ a_mat
         _add_penalties(h, *pens, dmat, shape)
         # The exact minimizer cannot raise the running objective, so a fast
-        # solve that does is redone by the stacked least squares.
+        # solve that does by more than rounding is redone by the stacked
+        # least squares.
         prev = trace.update_objectives[-1] if (trace.update_objectives and batch is None) else None
-        g, obj, cond = _solve_core(a_mat, tv, h,
-                                   lambda: _penalty_root_blocks(*pens, dmat, shape),
-                                   subproblem_objective, prev)
-        if cond is not None:
-            trace.fallback_solves += 1
-            trace.fallback_conditions.append(cond)
+        g, obj, used_stack = _solve_core(a_mat, tv, h,
+                                         lambda: _penalty_root_blocks(*pens, dmat, shape),
+                                         subproblem_objective, prev)
+        trace.fallback_solves += used_stack
         if prev is not None and obj > prev:
             # Coordinate descent may always reject a non-improving step; the
             # current core already attains the previous objective.

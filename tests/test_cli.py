@@ -119,6 +119,14 @@ def test_invalid_hyperparameters_exit_2(dataset, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_non_finite_penalty_weight_exits_2(dataset, tmp_path, lam):
+    code = main(["fit", "--data", dataset + "_est.csv", "--out",
+                 str(tmp_path / "m.json"), "--lam", lam] + FIT_ARGS)
+    assert code == 2
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_malformed_csv_reports_row(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("u,y\n0.1,0.2\nnot,a number\n")

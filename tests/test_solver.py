@@ -1,8 +1,14 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tnbs
 from tnbs import (
     FitConfig,
     LagSpec,
@@ -344,6 +350,11 @@ class TestFitConfig:
             FitConfig(ranks=0).resolved_ranks(3)
         with pytest.raises(ValueError):
             FitConfig(lambdas=-0.5).resolved_lambdas(3)
+        with pytest.raises(ValueError):
+            FitConfig(epsilon=np.nan)
+        for lam in (np.nan, np.inf, (0.1, np.nan, 0.2), (0.1, 0.2, np.inf)):
+            with pytest.raises(ValueError):
+                FitConfig(lambdas=lam).resolved_lambdas(3)
 
 
 class TestCrossValidation:
@@ -384,3 +395,47 @@ class TestCrossValidation:
         with pytest.raises(ValueError):
             cross_validate_lambda(data.u_est[:20], data.y_est[:20], spec.lags,
                                   basis, cfg, [0.1], 50, scaling=Scaling.identity())
+
+
+def run_python(code, **env):
+    """Run code in a fresh interpreter that imports this checkout's tnbs."""
+    src = str(Path(tnbs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path, **env})
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_import_loads_no_scipy():
+    out = run_python("import sys, tnbs; print([m for m in sys.modules "
+                     "if m == 'scipy' or m.startswith('scipy.')])")
+    assert out.strip() == "[]"
+
+
+THREAD_FIT = """
+import json
+from tnbs import FitConfig, LagSpec, Scaling, als_fit, make_basis
+from tnbs.synth import SynthSpec, make_dataset
+data = make_dataset(SynthSpec(seed=0), snr_db=20.0)
+lags = LagSpec((1, 2, 3, 4), (1, 2, 3, 4))
+out = {}
+for lam in (1e-3, 0.0):
+    cfg = FitConfig(ranks=5, penalty_order=2, lambdas=lam, max_sweeps=2, seed=0)
+    _, trace = als_fit(data.u_est, data.y_est, lags, make_basis(2, 6), cfg,
+                       scaling=Scaling.identity())
+    out[repr(lam)] = [trace.fallback_solves, trace.update_objectives[-1]]
+print(json.dumps(out))
+"""
+
+
+def test_solve_route_agrees_across_blas_threads():
+    # The BLAS thread count changes trailing digits, which must neither send a
+    # regularized update to the stacked least squares nor move the objective
+    # beyond rounding. At lambda = 0 the normal equations really lose digits
+    # and the stacked route stays in use.
+    runs = [json.loads(run_python(THREAD_FIT, OPENBLAS_NUM_THREADS=t)) for t in ("1", "2")]
+    (fb1, obj1), (fb2, obj2) = runs[0]["0.001"], runs[1]["0.001"]
+    assert fb1 == fb2 == 0
+    assert abs(obj1 - obj2) <= 1e-12 * obj1
+    assert all(run["0.0"][0] > 0 for run in runs)
