@@ -106,32 +106,26 @@ def _fit_inputs(args):
     return lags, basis, cfg, scaling
 
 
-def _fit_config_echo(args, extra=None) -> dict:
-    config = {
-        "data": str(args.data),
-        "degree": args.degree,
-        "knots": args.knots,
-        "ranks": args.ranks,
-        "lags_u": args.lags_u,
-        "lags_y": args.lags_y,
-        "alpha": args.alpha,
-        "sweeps": args.sweeps,
-        "epsilon": args.epsilon,
-        "seed": args.seed,
-        "batch_size": args.batch_size,
-        "scaling": args.scaling,
-    }
-    if hasattr(args, "lam"):
-        config["lambda"] = args.lam
-    if extra:
-        config.update(extra)
-    return config
+_CONFIG_NAMES = {"lam": "lambda", "snr": "snr_db"}
+
+
+def _resolved_config(args) -> dict:
+    """Parsed options as echoed and reported, defaults included.
+
+    Left out are the report path and, for predict and simulate, the
+    per-sample CSV path.
+    """
+    skip = {"command", "func", "report"}
+    if args.command in ("predict", "simulate"):
+        skip.add("out")
+    return {_CONFIG_NAMES.get(key, key): value
+            for key, value in vars(args).items() if key not in skip}
 
 
 def cmd_fit(args) -> int:
     u, y = read_signal_csv(args.data)
     lags, basis, cfg, scaling = _fit_inputs(args)
-    config = _fit_config_echo(args, {"out": str(args.out)})
+    config = _resolved_config(args)
     _echo_config(config)
 
     start_time = time.perf_counter()
@@ -171,7 +165,7 @@ def _write_prediction_csv(path, offset, truth, predicted) -> None:
 def cmd_predict(args) -> int:
     model = TnbsModel.load(args.model)
     u, y = read_signal_csv(args.data)
-    config = {"model": str(args.model), "data": str(args.data)}
+    config = _resolved_config(args)
     _echo_config(config)
     pred = model.predict(u, y)
     start = model.lags.start_index
@@ -193,7 +187,7 @@ def cmd_predict(args) -> int:
 def cmd_simulate(args) -> int:
     model = TnbsModel.load(args.model)
     u, y = read_signal_csv(args.data)
-    config = {"model": str(args.model), "data": str(args.data)}
+    config = _resolved_config(args)
     _echo_config(config)
     start = model.lags.start_index
     if len(y) <= start:
@@ -227,14 +221,7 @@ def cmd_synth(args) -> int:
         smoothing_window=args.window,
         seed=args.seed,
     )
-    config = {
-        "degree": spec.degree, "knots": spec.knot_param, "ranks": args.ranks,
-        "lags_u": args.lags_u, "lags_y": args.lags_y,
-        "w_min": spec.w_min, "w_max": spec.w_max,
-        "n": spec.n_samples, "split": args.split, "snr_db": args.snr,
-        "window": spec.smoothing_window, "seed": spec.seed,
-        "out_prefix": args.out_prefix,
-    }
+    config = _resolved_config(args)
     _echo_config(config)
     data = make_dataset(spec, snr_db=args.snr, n_estimation=args.split)
     est_path = f"{args.out_prefix}_est.csv"
@@ -259,7 +246,7 @@ def cmd_synth(args) -> int:
 def cmd_cv(args) -> int:
     u, y = read_signal_csv(args.data)
     lags, basis, cfg, scaling = _fit_inputs(args)
-    config = _fit_config_echo(args, {"lambdas": args.lambdas, "folds": args.folds})
+    config = _resolved_config(args)
     _echo_config(config)
     best, scores = cross_validate_lambda(
         u, y, lags, basis, cfg, args.lambdas, args.folds, scaling=scaling

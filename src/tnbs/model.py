@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .bspline import BasisConfig, basis_rows, make_basis
-from .tensor import TensorTrain
+from .tensor import TensorTrain, _fold_left
 
 MODEL_FORMAT_VERSION = 1
 
@@ -72,6 +72,9 @@ class Scaling:
     y_max: float
 
     def __post_init__(self):
+        bounds = (self.u_min, self.u_max, self.y_min, self.y_max)
+        if not np.isfinite(bounds).all():
+            raise ValueError(f"scaling bounds must be finite, got {list(bounds)}")
         if not self.u_min < self.u_max:
             raise ValueError(f"degenerate input scaling: [{self.u_min}, {self.u_max}]")
         if not self.y_min < self.y_max:
@@ -186,7 +189,7 @@ class TnbsModel:
         bmats = bmats.reshape(d, n, self.basis.basis_count)
         v = np.ones((n, 1))
         for b, core in zip(bmats, self.weights.cores):
-            v = np.einsum("na,nac->nc", v, np.einsum("ni,aic->nac", b, core))
+            v = _fold_left(v, core, b)
         return v[:, 0]
 
     def predict(self, u, y) -> np.ndarray:
@@ -286,6 +289,9 @@ class TnbsModel:
                 np.asarray(entry["values"], dtype=float).reshape(entry["shape"], order="F")
                 for entry in doc["cores"]
             )
-        except (KeyError, TypeError) as exc:
+            for p, core in enumerate(cores):
+                if not np.isfinite(core).all():
+                    raise ValueError(f"core {p} holds non-finite values")
+            return cls(basis=basis, lags=lags, weights=TensorTrain(cores), scaling=scaling)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed model document: {exc}") from None
-        return cls(basis=basis, lags=lags, weights=TensorTrain(cores), scaling=scaling)

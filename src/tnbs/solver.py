@@ -9,12 +9,14 @@ core via QR steps, which makes the local objective equal the global one and
 the iteration monotone.
 
 Each step has one implementation, run by the sweep: ``_kron_rows`` builds the
-design rows, ``_accumulated_penalties`` with ``_add_penalties`` collapses the
-penalties onto the updated core, ``_solve_core`` solves (an LU solve of the
-normal equations, escalating to a stacked minimal-norm least squares), and
-``tensor._qr_shift`` moves the canonical site. The public
-``build_design_matrix``, ``build_penalty_matrix`` and ``update_core`` are thin
-views over these kernels, so the checks on them exercise the fit's own path.
+design rows from the chain folds ``tensor._fold_left``/``_fold_right``,
+``_accumulated_penalties`` with ``_add_penalties`` collapses the penalties onto
+the updated core, ``_solve_core`` solves (an LU solve of the normal equations,
+escalating to the minimal-norm least squares on the design stacked over a
+square root of the penalty matrix), and ``tensor._qr_shift`` moves the
+canonical site. The public ``build_design_matrix``, ``build_penalty_matrix``
+and ``update_core`` are thin views over these kernels, so the checks on them
+exercise the fit's own path.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ import numpy as np
 
 from .bspline import BasisConfig, basis_rows, out_of_domain_count
 from .model import LagSpec, Scaling, TnbsModel, build_regressors, rmse, _as_signal
-from .tensor import TensorTrain, orthogonalize_to_site, _qr_shift
+from .tensor import (
+    TensorTrain, orthogonalize_to_site, _fold_left, _fold_right, _normalize_rank_caps, _qr_shift,
+)
 
 
 class NumericalError(RuntimeError):
@@ -64,17 +68,7 @@ class FitConfig:
             raise ValueError("batch size must be positive")
 
     def resolved_ranks(self, d: int) -> tuple[int, ...]:
-        if np.isscalar(self.ranks):
-            ranks = (int(self.ranks),) * (d - 1)
-        else:
-            ranks = tuple(int(r) for r in self.ranks)
-            if len(ranks) != d - 1:
-                raise ValueError(
-                    f"need {d - 1} interior ranks for {d} dimensions, got {len(ranks)}"
-                )
-        if any(r < 1 for r in ranks):
-            raise ValueError("ranks must be positive")
-        return ranks
+        return tuple(_normalize_rank_caps(self.ranks, d))
 
     def resolved_lambdas(self, d: int) -> tuple[float, ...]:
         if np.isscalar(self.lambdas):
@@ -139,16 +133,6 @@ def _kron_rows(right: np.ndarray, mid: np.ndarray, left: np.ndarray) -> np.ndarr
     # vectorization of a core (left index fastest).
     n = left.shape[0]
     return np.einsum("nc,ni,na->ncia", right, mid, left).reshape(n, -1)
-
-
-def _fold_left(v: np.ndarray, core: np.ndarray, bmat: np.ndarray) -> np.ndarray:
-    m = np.einsum("ni,aic->nac", bmat, core)
-    return np.einsum("na,nac->nc", v, m)
-
-
-def _fold_right(core: np.ndarray, bmat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    m = np.einsum("ni,aic->nac", bmat, core)
-    return np.einsum("nac,nc->na", m, v)
 
 
 def build_design_matrix(tt: TensorTrain, basis_mats, p: int) -> np.ndarray:
@@ -248,7 +232,13 @@ def _penalty_value(g, left, lam_mid, right, d_mat, shape) -> float:
 
 
 def _penalty_root_blocks(left, lam_mid, right, d_mat, shape):
-    """Stackable matrices whose squared norms reproduce the penalties."""
+    """Stackable matrices whose squared norms reproduce the penalties.
+
+    The square roots are taken of the small chain Grams and kept in Kronecker
+    form. Roots of the full-size penalty matrix were measured less accurate:
+    on fits with a per-dimension lambda vector their stacked solves ended up
+    to 5% above the objective this form reaches.
+    """
     r_prev, k, r_next = shape
     blocks = []
     if left is not None:
@@ -293,13 +283,16 @@ def _solve_core(a_mat, targets, h, root_blocks, objective=None, bound=None):
     """Minimize ||targets - A g||^2 + ||R g||^2 for one vectorized core.
 
     ``h`` is the normal matrix A'A + R'R and ``root_blocks()`` lists the row
-    blocks of R. The fast route solves the normal equations with numpy's LU.
-    The minimal-norm least squares on the stacked [A; R], accurate where the
+    blocks of R, a square root of the penalty matrix (none for a zero
+    penalty). The fast route solves the normal equations with numpy's LU.
+    The minimal-norm least squares on A stacked over R, accurate where the
     normal equations lose digits, takes over when that solve fails or is not
     finite, or when ``objective`` of its solution exceeds ``bound`` by more
     than the rounding of a sum of ``len(targets)`` squares. Returns
     (g, objective(g) or None, whether the stacked route was taken).
     """
+    if not np.isfinite(a_mat).all() or not np.isfinite(targets).all():
+        raise NumericalError("non-finite values in the least-squares subproblem")
     try:
         g = np.linalg.solve(h, a_mat.T @ targets)
     except np.linalg.LinAlgError:
@@ -319,8 +312,10 @@ def update_core(a_mat, targets, penalty_mats, lambdas) -> np.ndarray:
 
     Minimizes ||targets - A g||^2 + sum_j lambda_j g' Omega_j g with the
     fit's core solve: an LU solve of the normal equations, falling back to
-    the minimal-norm least squares on A stacked over the penalty's square
-    root when the system is singular.
+    the minimal-norm least squares on A stacked over a square root of the
+    penalty matrix only when LU meets an exactly singular pivot or returns
+    non-finite values. A system that is singular only in exact arithmetic
+    can pass LU and get another minimizer, not the minimal-norm one.
     """
     a_mat = np.asarray(a_mat, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -330,8 +325,6 @@ def update_core(a_mat, targets, penalty_mats, lambdas) -> np.ndarray:
         )
     if len(penalty_mats) != len(lambdas):
         raise ValueError("one penalty weight per penalty matrix is required")
-    if not np.isfinite(a_mat).all() or not np.isfinite(targets).all():
-        raise NumericalError("non-finite values in the least-squares subproblem")
     h = a_mat.T @ a_mat
     pen = None
     for om, lam in zip(penalty_mats, lambdas):
@@ -405,8 +398,6 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
         else:
             lv, bv, rv, tv = left[p], basis_mats[p], right[p], targets
         a_mat = _kron_rows(rv, bv, lv)
-        if not np.isfinite(a_mat).all() or not np.isfinite(tv).all():
-            raise NumericalError("non-finite values in the least-squares subproblem")
         shape = cores[p].shape
         pens = _accumulated_penalties(cores, dmat, lambdas, p)
 

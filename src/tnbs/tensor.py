@@ -98,6 +98,18 @@ def tt_to_full(tt: TensorTrain, max_elements: int = DENSE_CAP) -> np.ndarray:
     return out[..., 0]
 
 
+def _fold_left(v: np.ndarray, core: np.ndarray, bmat: np.ndarray) -> np.ndarray:
+    """Carry per-sample chain products (n, r_{p-1}) through core p and its basis rows."""
+    m = np.einsum("ni,aic->nac", bmat, core)
+    return np.einsum("na,nac->nc", v, m)
+
+
+def _fold_right(core: np.ndarray, bmat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mirror of ``_fold_left``: carry right chain products (n, r_p) through core p."""
+    m = np.einsum("ni,aic->nac", bmat, core)
+    return np.einsum("nac,nc->na", m, v)
+
+
 def _normalize_rank_caps(max_ranks, d: int):
     if max_ranks is None:
         return None

@@ -146,6 +146,17 @@ def test_non_finite_csv_value_reports_file_and_row(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_non_finite_model_value_exits_2(dataset, tmp_path, capsys):
+    model_path = tmp_path / "nan_model.json"
+    with open(dataset + "_true_model.json") as fh:
+        doc = json.load(fh)
+    doc["cores"][0]["values"][0] = float("nan")
+    model_path.write_text(json.dumps(doc))
+    code = main(["predict", "--model", str(model_path), "--data", dataset + "_test.csv"])
+    assert code == 2
+    assert str(model_path) in capsys.readouterr().err
+
+
 def test_wrong_header_rejected(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n0.1,0.2\n")

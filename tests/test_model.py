@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -85,6 +86,12 @@ class TestScaling:
             Scaling.fit([1.0, 1.0], [0.0, 1.0])
         with pytest.raises(ValueError):
             Scaling.fit([0.0, 1.0], [2.0, 2.0])
+
+    def test_non_finite_bounds_rejected(self):
+        for bounds in ((0.0, np.inf, 0.0, 1.0), (-np.inf, 1.0, 0.0, 1.0),
+                       (0.0, 1.0, np.nan, 1.0), (0.0, 1.0, 0.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                Scaling(*bounds)
 
 
 class TestEvalSurface:
@@ -270,6 +277,29 @@ class TestSerialization:
         path.write_text("not json at all")
         with pytest.raises(ValueError):
             TnbsModel.load(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc["cores"][1]["values"].__setitem__(3, float("nan")),
+        lambda doc: doc["cores"][0]["values"].__setitem__(0, float("inf")),
+        lambda doc: doc["cores"][2]["values"].__setitem__(1, float("-inf")),
+        lambda doc: doc["scaling"].__setitem__("u_max", float("inf")),
+        lambda doc: doc["scaling"].__setitem__("y_min", float("nan")),
+        lambda doc: doc["cores"][0]["values"].pop(),
+        lambda doc: doc["cores"][1].update(shape=[3, 4, 2], values=[0.0] * 24),
+        lambda doc: doc.update(knot_param=4),
+        lambda doc: doc.update(output_lags=[0]),
+    ], ids=["nan-core", "inf-core", "neg-inf-core", "inf-scaling", "nan-scaling",
+            "value-count", "rank-mismatch", "knot-param", "output-lag-0"])
+    def test_invalid_document_names_the_file(self, tmp_path, corrupt):
+        model = random_model(np.random.default_rng(7), 3, (2, 2), LagSpec((0, 1), (1,)))
+        path = tmp_path / "model.json"
+        model.save(path)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            TnbsModel.load(path)
+        assert str(path) in str(info.value)
 
 
 def test_model_weight_shape_validation():

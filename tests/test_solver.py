@@ -29,6 +29,7 @@ from tnbs import (
 )
 from tnbs.bspline import basis_rows
 from tnbs.model import TnbsModel
+from tnbs.solver import _accumulated_penalties, _add_penalties, _penalty_value
 from tnbs.synth import SynthSpec, make_dataset
 
 
@@ -156,6 +157,28 @@ class TestPenaltyMatrix:
                 ref = dense_penalty(full, d1, j)
                 assert abs(g @ om @ g - ref) <= 1e-9 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_value_form_matches_matrix_form(self, alpha):
+        # The sweep scores a core with the sums of squares of _penalty_value
+        # and solves with the matrix _add_penalties writes; both must be the
+        # same weighted penalty, and equal the per-dimension public matrices.
+        rng = np.random.default_rng(20 + alpha)
+        tt = random_tt(rng, 4, 5, (2, 3, 2))
+        dmat = difference_matrix(5, alpha)
+        lams = (0.3, 0.0, 1.7, 0.05)
+        for p in range(4):
+            ttp = orthogonalize_to_site(tt, p)
+            shape = ttp.cores[p].shape
+            g = ttp.cores[p].reshape(-1, order="F")
+            pens = _accumulated_penalties(ttp.cores, dmat, lams, p)
+            value = _penalty_value(g, *pens, dmat, shape)
+            pen = np.zeros((g.size, g.size))
+            _add_penalties(pen, *pens, dmat, shape)
+            assert abs(value - g @ pen @ g) <= 1e-10 * value
+            per_dim = sum(lams[j] * (g @ build_penalty_matrix(ttp, dmat, p, j) @ g)
+                          for j in range(4))
+            assert abs(value - per_dim) <= 1e-10 * value
+
     def test_requires_canonical_site(self):
         rng = np.random.default_rng(8)
         tt = orthogonalize_to_site(random_tt(rng, 3, 4, (2, 2)), 0)
@@ -201,6 +224,26 @@ class TestUpdateCore:
         g = update_core(a, y, [], [])
         assert abs(g[3]) < 1e-10
         ref = np.linalg.pinv(a) @ y
+        assert np.allclose(g, ref, atol=1e-8)
+
+    def test_penalized_singular_system_minimal_norm(self):
+        # A dead column that the penalty does not reach either leaves LU an
+        # exactly zero pivot; the stacked route must give the minimal-norm
+        # solution of [A; R] g = [y; 0] for any root R of the penalty.
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((20, 5))
+        a[:, 3] = 0.0
+        y = rng.standard_normal(20)
+        root = np.zeros((3, 5))
+        root[:, [0, 1, 2, 4]] = difference_matrix(4, 1)
+        lam = 0.1
+        om = root.T @ root
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a.T @ a + lam * om, a.T @ y)
+        g = update_core(a, y, [om], [lam])
+        ref = np.linalg.pinv(np.vstack([a, np.sqrt(lam) * root])) @ np.concatenate(
+            [y, np.zeros(3)])
+        assert abs(g[3]) < 1e-10
         assert np.allclose(g, ref, atol=1e-8)
 
     def test_non_finite_rejected(self):
