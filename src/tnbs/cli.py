@@ -162,47 +162,29 @@ def _write_prediction_csv(path, offset, truth, predicted) -> None:
             fh.write(f"{offset + i},{float(a)!r},{float(b)!r}\n")
 
 
-def cmd_predict(args) -> int:
-    model = TnbsModel.load(args.model)
-    u, y = read_signal_csv(args.data)
-    config = _resolved_config(args)
-    _echo_config(config)
-    pred = model.predict(u, y)
-    start = model.lags.start_index
-    score = rmse(y[start:], pred)
-    print(f"prediction rmse: {score:.6g} over {len(pred)} samples")
-    if args.out:
-        _write_prediction_csv(args.out, start, y[start:], pred)
-        print(f"per-sample output written to {args.out}")
-    _write_report(args.report, {
-        "command": "predict",
-        "config": config,
-        "rmse": score,
-        "samples": len(pred),
-        "start_index": start,
-    })
-    return EXIT_OK
-
-
-def cmd_simulate(args) -> int:
+def cmd_evaluate(args) -> int:
+    """``predict`` (one-step prediction) or ``simulate`` (free run) with a saved model."""
     model = TnbsModel.load(args.model)
     u, y = read_signal_csv(args.data)
     config = _resolved_config(args)
     _echo_config(config)
     start = model.lags.start_index
-    if len(y) <= start:
-        raise ValueError(f"data of length {len(y)} is too short for maximum lag {start}")
-    sim = model.simulate(u, y[:start])
-    score = rmse(y[start:], sim)
-    print(f"simulation rmse: {score:.6g} over {len(sim)} samples")
+    if args.command == "predict":
+        label, yhat = "prediction", model.predict(u, y)
+    else:
+        if len(y) <= start:
+            raise ValueError(f"data of length {len(y)} is too short for maximum lag {start}")
+        label, yhat = "simulation", model.simulate(u, y[:start])
+    score = rmse(y[start:], yhat)
+    print(f"{label} rmse: {score:.6g} over {len(yhat)} samples")
     if args.out:
-        _write_prediction_csv(args.out, start, y[start:], sim)
+        _write_prediction_csv(args.out, start, y[start:], yhat)
         print(f"per-sample output written to {args.out}")
     _write_report(args.report, {
-        "command": "simulate",
+        "command": args.command,
         "config": config,
         "rmse": score,
-        "samples": len(sim),
+        "samples": len(yhat),
         "start_index": start,
     })
     return EXIT_OK
@@ -303,19 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p, with_lambda=True)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("predict", help="one-step prediction with a saved model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", default=None, help="per-sample CSV (n,y,yhat)")
-    p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("simulate", help="free-run simulation with a saved model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", default=None, help="per-sample CSV (n,y,yhat)")
-    p.add_argument("--report", default=None)
-    p.set_defaults(func=cmd_simulate)
+    for name, text in (("predict", "one-step prediction with a saved model"),
+                       ("simulate", "free-run simulation with a saved model")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--model", required=True)
+        p.add_argument("--data", required=True)
+        p.add_argument("--out", default=None, help="per-sample CSV (n,y,yhat)")
+        p.add_argument("--report", default=None)
+        p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate the synthetic benchmark dataset")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")

@@ -9,14 +9,15 @@ core via QR steps, which makes the local objective equal the global one and
 the iteration monotone.
 
 Each step has one implementation, run by the sweep: ``_kron_rows`` builds the
-design rows from the chain folds ``tensor._fold_left``/``_fold_right``,
-``_accumulated_penalties`` with ``_add_penalties`` collapses the penalties onto
-the updated core, ``_solve_core`` solves (an LU solve of the normal equations,
-escalating to the minimal-norm least squares on the design stacked over a
-square root of the penalty matrix), and ``tensor._qr_shift`` moves the
-canonical site. The public ``build_design_matrix``, ``build_penalty_matrix``
-and ``update_core`` are thin views over these kernels, so the checks on them
-exercise the fit's own path.
+design rows from the chain folds ``tensor._fold_left``/``_fold_right``, and
+``_add_penalties`` collapses the penalties onto the updated core from the
+penalty Grams ``_gram_left``/``_gram_right``. The sweep carries both folds and
+both Grams and refolds them at each QR shift (``tensor._qr_shift``), so every
+chain product is computed once per sweep. ``_solve_core`` solves (an LU solve
+of the normal equations, escalating to the minimal-norm least squares on the
+design stacked over a square root of the penalty matrix). The public
+``build_design_matrix``, ``build_penalty_matrix`` and ``update_core`` are thin
+views over these kernels, so the checks on them exercise the fit's own path.
 """
 
 from __future__ import annotations
@@ -164,32 +165,47 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
+def _gram_left(acc, core, d_mat, lam):
+    """Carry the weighted left penalty Gram (r_{p-1} square) through core p.
+
+    ``acc`` sums lambda_j times the chain Gram for every j < p, None while all
+    those weights vanish; core p adds its own difference Gram when ``lam`` is
+    positive.
+    """
+    if acc is not None:
+        acc = np.einsum("ab,aic,bid->cd", acc, core, core)
+    if lam > 0.0:
+        mod = np.tensordot(d_mat, core, axes=(1, 1)).transpose(1, 0, 2)
+        gram = lam * np.einsum("aic,aid->cd", mod, mod)
+        acc = gram if acc is None else acc + gram
+    return acc
+
+
+def _gram_right(core, d_mat, lam, acc):
+    """Mirror of ``_gram_left``: carry the right penalty Gram (r_p square) through core p."""
+    if acc is not None:
+        acc = np.einsum("aic,bid,cd->ab", core, core, acc)
+    if lam > 0.0:
+        mod = np.tensordot(d_mat, core, axes=(1, 1)).transpose(1, 0, 2)
+        gram = lam * np.einsum("aic,bic->ab", mod, mod)
+        acc = gram if acc is None else acc + gram
+    return acc
+
+
 def _accumulated_penalties(cores, d_mat, lambdas, p):
     """Weighted penalty Grams for all dimensions, collapsed onto core p.
 
     Returns (left, middle, right): ``left`` sums lambda_j times the chain
     Gram for j < p (an r_{p-1} square matrix, None if all weights vanish),
-    ``middle`` is lambda_p, and ``right`` mirrors ``left`` for j > p. All
-    per-dimension Grams share the same chain propagation, so each side is
-    one pass.
+    ``middle`` is lambda_p, and ``right`` mirrors ``left`` for j > p. The
+    sweep carries the same two Grams site by site instead.
     """
-    d = len(cores)
     left = None
     for q in range(p):
-        if left is not None:
-            left = np.einsum("ab,aic,bid->cd", left, cores[q], cores[q])
-        if lambdas[q] > 0.0:
-            mod = np.tensordot(d_mat, cores[q], axes=(1, 1)).transpose(1, 0, 2)
-            gram = lambdas[q] * np.einsum("aic,aid->cd", mod, mod)
-            left = gram if left is None else left + gram
+        left = _gram_left(left, cores[q], d_mat, lambdas[q])
     right = None
-    for q in range(d - 1, p, -1):
-        if right is not None:
-            right = np.einsum("aic,bid,cd->ab", cores[q], cores[q], right)
-        if lambdas[q] > 0.0:
-            mod = np.tensordot(d_mat, cores[q], axes=(1, 1)).transpose(1, 0, 2)
-            gram = lambdas[q] * np.einsum("aic,bic->ab", mod, mod)
-            right = gram if right is None else right + gram
+    for q in range(len(cores) - 1, p, -1):
+        right = _gram_right(cores[q], d_mat, lambdas[q], right)
     return left, lambdas[p], right
 
 
@@ -381,17 +397,27 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
     trace = SweepTrace()
     trace.clipped_regressors = out_of_domain_count(x_rows)
 
-    # Cached partial chain products per sample; refreshed as the sweep moves.
-    left = [None] * d
-    right = [None] * d
+    # Chain products around the updated core, per sample (data folds) and
+    # for the penalties (Grams); refolded on the side each QR shift moves.
+    left, right = [None] * d, [None] * d
+    lgram, rgram = [None] * d, [None] * d
     left[0] = np.ones((n, 1))
     right[d - 1] = np.ones((n, 1))
-    for p in range(d - 2, -1, -1):
-        right[p] = _fold_right(cores[p + 1], basis_mats[p + 1], right[p + 1])
+
+    def refold(p, step):
+        if step > 0:
+            left[p + 1] = _fold_left(left[p], cores[p], basis_mats[p])
+            lgram[p + 1] = _gram_left(lgram[p], cores[p], dmat, lambdas[p])
+        else:
+            right[p - 1] = _fold_right(cores[p], basis_mats[p], right[p])
+            rgram[p - 1] = _gram_right(cores[p], dmat, lambdas[p], rgram[p])
+
+    for p in range(d - 1, 0, -1):
+        refold(p, -1)
 
     batch = cfg.batch_size if (cfg.batch_size is not None and cfg.batch_size < n) else None
 
-    def update(p, first_of_sweep):
+    def update(p):
         if batch is not None:
             idx = rng.choice(n, size=batch, replace=False)
             lv, bv, rv, tv = left[p][idx], basis_mats[p][idx], right[p][idx], targets[idx]
@@ -399,7 +425,7 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
             lv, bv, rv, tv = left[p], basis_mats[p], right[p], targets
         a_mat = _kron_rows(rv, bv, lv)
         shape = cores[p].shape
-        pens = _accumulated_penalties(cores, dmat, lambdas, p)
+        pens = lgram[p], lambdas[p], rgram[p]
 
         def subproblem_objective(g):
             resid = tv - a_mat @ g
@@ -423,20 +449,17 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
             r1, _, r2 = shape
             cores[p] = g.reshape(r1, k, r2, order="F")
         trace.update_objectives.append(obj)
-        if first_of_sweep:
-            trace.first_core_objectives.append(obj)
 
-    forward = range(d - 1) if d > 1 else range(1)
+    # One sweep: left to right, then back; a single core is updated alone.
+    schedule = [(p, 1) for p in range(d - 1)] + [(p, -1) for p in range(d - 1, 0, -1)]
+    schedule = schedule or [(0, 0)]
     for sweep in range(1, cfg.max_sweeps + 1):
-        for i, p in enumerate(forward):
-            update(p, first_of_sweep=(i == 0))
-            if d > 1:
-                _qr_shift(cores, p, 1)
-                left[p + 1] = _fold_left(left[p], cores[p], basis_mats[p])
-        for p in range(d - 1, 0, -1):
-            update(p, first_of_sweep=False)
-            _qr_shift(cores, p, -1)
-            right[p - 1] = _fold_right(cores[p], basis_mats[p], right[p])
+        for p, step in schedule:
+            update(p)
+            if step:
+                _qr_shift(cores, p, step)
+                refold(p, step)
+        trace.first_core_objectives.append(trace.update_objectives[-len(schedule)])
         trace.sweeps_run = sweep
         js = trace.first_core_objectives
         if sweep >= 2 and abs(js[-2] - js[-1]) <= cfg.epsilon:

@@ -126,18 +126,12 @@ def _normalize_rank_caps(max_ranks, d: int):
     return caps
 
 
-def tt_svd(
-    a: np.ndarray,
-    max_ranks=None,
-    rel_tolerance: float | None = None,
-) -> TensorTrain:
+def tt_svd(a: np.ndarray, max_ranks=None) -> TensorTrain:
     """Decompose a dense tensor into a tensor train by successive SVDs.
 
-    ``max_ranks`` caps the interior ranks (scalar broadcasts); alternatively
-    ``rel_tolerance`` picks the minimal ranks meeting a relative Frobenius
-    accuracy, distributing the budget as tol/sqrt(d-1) per unfolding. With
-    neither, the decomposition is exact up to rounding. The returned train is
-    canonical at the last core.
+    ``max_ranks`` caps the interior ranks (scalar broadcasts); without it the
+    decomposition is exact up to rounding. The returned train is canonical at
+    the last core.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 1:
@@ -147,9 +141,6 @@ def tt_svd(
     if d == 1:
         return TensorTrain((a.reshape(1, -1, 1),), canonical_site=0)
     caps = _normalize_rank_caps(max_ranks, d)
-    delta = None
-    if rel_tolerance is not None:
-        delta = float(rel_tolerance) * np.linalg.norm(a) / np.sqrt(d - 1)
 
     cores = []
     rem = a.reshape(-1, order="F")
@@ -160,10 +151,6 @@ def tt_svd(
         u, s, vt = np.linalg.svd(rem, full_matrices=False)
         # Numerical rank: exact decompositions do not carry zero directions.
         r = int(np.count_nonzero(s > s[0] * max(rem.shape) * np.finfo(float).eps)) if s.size else 1
-        if delta is not None:
-            tail = np.sqrt(np.cumsum(s[::-1] ** 2))[::-1]
-            keep = np.nonzero(tail > delta)[0]
-            r = int(keep[-1]) + 1 if keep.size else 1
         if caps is not None:
             r = min(r, caps[p])
         r = max(r, 1)

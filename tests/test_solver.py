@@ -28,7 +28,7 @@ from tnbs import (
     update_core,
 )
 from tnbs.bspline import basis_rows
-from tnbs.model import TnbsModel
+from tnbs.model import TnbsModel, build_regressors
 from tnbs.solver import _accumulated_penalties, _add_penalties, _penalty_value
 from tnbs.synth import SynthSpec, make_dataset
 
@@ -370,6 +370,48 @@ class TestAlsFit:
             lams[j] * dense_penalty(full, dmat, j) for j in range(3)
         )
         assert abs(trace.update_objectives[-1] - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("seed", [14, 3, 5])
+    @pytest.mark.parametrize("lam", [0.05, (0.1, 0.0, 0.02)])
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_carried_chain_state_is_fresh(self, seed, lam, alpha):
+        # One more exact update at site 0 of the fitted model, built from
+        # scratch by the public views, must land where the sweep ended: a
+        # sweep on stale carried folds or Grams stalls short of it, which the
+        # step rejection alone does not reveal.
+        data, spec, basis, cfg = small_problem(seed=seed, lam=lam, alpha=alpha,
+                                               sweeps=12)
+        model, trace = als_fit(data.u_est, data.y_est, spec.lags, basis, cfg,
+                               scaling=Scaling.identity())
+        x_rows, targets, _ = build_regressors(data.u_est, data.y_est, spec.lags,
+                                              Scaling.identity())
+        tt = model.weights
+        bmats = [basis_rows(basis, x_rows[:, q]) for q in range(tt.order)]
+        a = build_design_matrix(tt, bmats, 0)
+        dmat = difference_matrix(basis.basis_count, alpha)
+        lams = cfg.resolved_lambdas(tt.order)
+        pen = sum(lams[j] * build_penalty_matrix(tt, dmat, 0, j) for j in range(tt.order))
+        g = update_core(a, targets, [pen], [1.0])
+        resid = targets - a @ g
+        obj = float(resid @ resid) + float(g @ pen @ g)
+        last = trace.update_objectives[-1]
+        assert abs(obj - last) <= 1e-3 * last
+
+    def test_single_core_schedule(self):
+        # With d = 1 every sweep is the one exact update of the only core, so
+        # the second sweep repeats the first and the fit stops there.
+        rng = np.random.default_rng(31)
+        u = rng.random(120)
+        y = np.sin(3.0 * u) + 0.05 * rng.standard_normal(120)
+        lags, basis = LagSpec((1,), ()), make_basis(2, 6)
+        cfg = FitConfig(ranks=(), penalty_order=1, lambdas=0.1, max_sweeps=3)
+        model, trace = als_fit(u, y, lags, basis, cfg, scaling=Scaling.identity())
+        x_rows, targets, _ = build_regressors(u, y, lags, Scaling.identity())
+        dmat = difference_matrix(basis.basis_count, 1)
+        g = update_core(basis_rows(basis, x_rows[:, 0]), targets, [dmat.T @ dmat], [0.1])
+        assert np.array_equal(model.weights.cores[0].reshape(-1), g)
+        assert trace.stopped_early and trace.sweeps_run == 2
+        assert trace.first_core_objectives == trace.update_objectives
 
     def test_lambda_vector_wrong_length(self):
         data, spec, basis, cfg = small_problem(seed=9)
