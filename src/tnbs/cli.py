@@ -122,11 +122,10 @@ def _resolved_config(args) -> dict:
             for key, value in vars(args).items() if key not in skip}
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> dict:
     u, y = read_signal_csv(args.data)
     lags, basis, cfg, scaling = _fit_inputs(args)
-    config = _resolved_config(args)
-    _echo_config(config)
+    _echo_config(_resolved_config(args))
 
     start_time = time.perf_counter()
     model, trace = als_fit(u, y, lags, basis, cfg, scaling=scaling)
@@ -141,9 +140,7 @@ def cmd_fit(args) -> int:
     print(f"sweeps: {trace.sweeps_run} (stopped early: {trace.stopped_early})")
     print(f"wall time: {wall:.2f} s")
     print(f"model written to {args.out}")
-    _write_report(args.report, {
-        "command": "fit",
-        "config": config,
+    return {
         "train_rmse": train_rmse,
         "parameter_count": model.parameter_count,
         "sweeps_run": trace.sweeps_run,
@@ -151,8 +148,7 @@ def cmd_fit(args) -> int:
         "first_core_objectives": trace.first_core_objectives,
         "clipped_regressors": trace.clipped_regressors,
         "fallback_solves": trace.fallback_solves,
-    })
-    return EXIT_OK
+    }
 
 
 def _write_prediction_csv(path, offset, truth, predicted) -> None:
@@ -162,12 +158,11 @@ def _write_prediction_csv(path, offset, truth, predicted) -> None:
             fh.write(f"{offset + i},{float(a)!r},{float(b)!r}\n")
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> dict:
     """``predict`` (one-step prediction) or ``simulate`` (free run) with a saved model."""
     model = TnbsModel.load(args.model)
     u, y = read_signal_csv(args.data)
-    config = _resolved_config(args)
-    _echo_config(config)
+    _echo_config(_resolved_config(args))
     start = model.lags.start_index
     if args.command == "predict":
         label, yhat = "prediction", model.predict(u, y)
@@ -180,17 +175,10 @@ def cmd_evaluate(args) -> int:
     if args.out:
         _write_prediction_csv(args.out, start, y[start:], yhat)
         print(f"per-sample output written to {args.out}")
-    _write_report(args.report, {
-        "command": args.command,
-        "config": config,
-        "rmse": score,
-        "samples": len(yhat),
-        "start_index": start,
-    })
-    return EXIT_OK
+    return {"rmse": score, "samples": len(yhat), "start_index": start}
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> dict:
     spec = SynthSpec(
         input_lags=tuple(args.lags_u),
         output_lags=tuple(args.lags_y),
@@ -203,8 +191,7 @@ def cmd_synth(args) -> int:
         smoothing_window=args.window,
         seed=args.seed,
     )
-    config = _resolved_config(args)
-    _echo_config(config)
+    _echo_config(_resolved_config(args))
     data = make_dataset(spec, snr_db=args.snr, n_estimation=args.split)
     est_path = f"{args.out_prefix}_est.csv"
     test_path = f"{args.out_prefix}_test.csv"
@@ -215,21 +202,17 @@ def cmd_synth(args) -> int:
     print(f"estimation set ({len(data.u_est)} rows) written to {est_path}")
     print(f"test set ({len(data.u_test)} rows) written to {test_path}")
     print(f"true model written to {model_path}")
-    _write_report(args.report, {
-        "command": "synth",
-        "config": config,
+    return {
         "estimation_rows": len(data.u_est),
         "test_rows": len(data.u_test),
         "files": [est_path, test_path, model_path],
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_cv(args) -> int:
+def cmd_cv(args) -> dict:
     u, y = read_signal_csv(args.data)
     lags, basis, cfg, scaling = _fit_inputs(args)
-    config = _resolved_config(args)
-    _echo_config(config)
+    _echo_config(_resolved_config(args))
     best, scores = cross_validate_lambda(
         u, y, lags, basis, cfg, args.lambdas, args.folds, scaling=scaling
     )
@@ -238,15 +221,12 @@ def cmd_cv(args) -> int:
         cells = "  ".join(f"{v:6.4g}" for v in row)
         print(f"{lam:>12g}  {cells}  {row.mean():6.4g}")
     print(f"chosen lambda: {best:g}")
-    _write_report(args.report, {
-        "command": "cv",
-        "config": config,
+    return {
         "lambda_grid": args.lambdas,
         "scores": [[float(v) for v in row] for row in scores],
         "mean_scores": [float(v) for v in scores.mean(axis=1)],
         "chosen_lambda": best,
-    })
-    return EXIT_OK
+    }
 
 
 def _add_model_flags(p, with_lambda: bool) -> None:
@@ -265,7 +245,8 @@ def _add_model_flags(p, with_lambda: bool) -> None:
     p.add_argument("--epsilon", type=float, default=0.0,
                    help="stopping tolerance on the first-core objective")
     p.add_argument("--batch-size", type=int, default=None,
-                   help="rows sampled per core update (default: all)")
+                   help="rows sampled to solve each core update; a step that raises "
+                        "the objective over all rows is rejected (default: all)")
     p.add_argument("--scaling", choices=("data", "unit"), default="data",
                    help="min-max scaling fitted from data, or identity for data in [0,1]")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -328,7 +309,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Each command returns its report payload; the JSON sidecar adds
+        # the command name and the resolved configuration it echoed.
+        payload = args.func(args)
+        _write_report(args.report, {"command": args.command,
+                                    "config": _resolved_config(args), **payload})
+        return EXIT_OK
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -111,6 +111,14 @@ def _as_signal(v, name: str) -> np.ndarray:
     return v
 
 
+def _regressor_gather(lags: LagSpec):
+    """``gather(us, ys, idx)``: regressor rows at sample indices, in LagSpec's column order."""
+    in_lags = np.array(lags.input_lags, dtype=int)
+    out_lags = np.array(lags.output_lags, dtype=int)
+    return lambda us, ys, idx: np.concatenate(
+        [us[idx[:, None] - in_lags], ys[idx[:, None] - out_lags]], axis=1)
+
+
 def build_regressors(u, y, lags: LagSpec, scaling: Scaling):
     """Stack scaled lagged samples into rows; returns (X, targets, start).
 
@@ -129,9 +137,7 @@ def build_regressors(u, y, lags: LagSpec, scaling: Scaling):
     us = scaling.scale_u(u)
     ys = scaling.scale_y(y)
     idx = np.arange(start, n)
-    cols = [us[idx - l] for l in lags.input_lags]
-    cols += [ys[idx - l] for l in lags.output_lags]
-    return np.column_stack(cols), ys[idx], start
+    return _regressor_gather(lags)(us, ys, idx), ys[idx], start
 
 
 def rmse(y, yhat) -> float:
@@ -230,16 +236,9 @@ class TnbsModel:
         hist = np.empty(n)
         hist[:t0] = self.scaling.scale_y(y_warmup)
         out = np.empty(n - t0)
-        in_lags = self.lags.input_lags
-        out_lags = self.lags.output_lags
-        x = np.empty(self.lags.dimension)
-        n_in = len(in_lags)
+        gather = _regressor_gather(self.lags)
         for t in range(t0, n):
-            for i, l in enumerate(in_lags):
-                x[i] = us[t - l]
-            for i, l in enumerate(out_lags):
-                x[n_in + i] = hist[t - l]
-            s = float(self._surface_rows(x[None, :])[0])
+            s = float(self._surface_rows(gather(us, hist, np.array([t])))[0])
             out[t - t0] = s
             hist[t] = min(max(s, 0.0), 1.0)
         return self.scaling.unscale_y(out)

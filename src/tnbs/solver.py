@@ -47,7 +47,9 @@ class FitConfig:
     broadcasts). ``penalty_order`` is the difference order: 0 is plain ridge,
     1 penalizes adjacent-weight jumps, 2 curvature. ``epsilon`` stops the
     sweeps once the first-core objective stalls; ``max_sweeps`` is the hard
-    cap. ``batch_size`` (optional) subsamples rows per core update.
+    cap. ``batch_size`` (optional) samples that many rows to solve each core
+    update; the step is kept only if it does not raise the objective over all
+    rows, and a mini-batch sweep that keeps no step does not stop the fit.
     """
 
     ranks: int | tuple[int, ...] = 4
@@ -300,12 +302,16 @@ def _solve_core(a_mat, targets, h, root_blocks, objective=None, bound=None):
 
     ``h`` is the normal matrix A'A + R'R and ``root_blocks()`` lists the row
     blocks of R, a square root of the penalty matrix (none for a zero
-    penalty). The fast route solves the normal equations with numpy's LU.
-    The minimal-norm least squares on A stacked over R, accurate where the
+    penalty). A and ``targets`` may be a row sample of the subproblem that
+    ``objective`` sums over all rows: a mini-batch update samples rows for its
+    solve but is kept only if it does not raise the objective over all rows.
+    The fast route solves the normal equations with numpy's LU. The
+    minimal-norm least squares on A stacked over R, accurate where the
     normal equations lose digits, takes over when that solve fails or is not
-    finite, or when ``objective`` of its solution exceeds ``bound`` by more
-    than the rounding of a sum of ``len(targets)`` squares. Returns
-    (g, objective(g) or None, whether the stacked route was taken).
+    finite, or when ``objective`` of its solution exceeds ``bound``, which a
+    full-batch sweep sets to the running objective plus the rounding of its
+    sum of squares. Returns (g, objective(g) or None, whether the stacked
+    route was taken).
     """
     if not np.isfinite(a_mat).all() or not np.isfinite(targets).all():
         raise NumericalError("non-finite values in the least-squares subproblem")
@@ -315,7 +321,7 @@ def _solve_core(a_mat, targets, h, root_blocks, objective=None, bound=None):
         g = None
     if g is not None and np.isfinite(g).all():
         obj = objective(g) if objective is not None else None
-        if bound is None or obj <= bound * (1.0 + len(targets) * np.finfo(float).eps):
+        if bound is None or obj <= bound:
             return g, obj, False
     stacked = np.vstack([a_mat] + root_blocks())
     rhs = np.concatenate([targets, np.zeros(stacked.shape[0] - len(targets))])
@@ -418,28 +424,31 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
     batch = cfg.batch_size if (cfg.batch_size is not None and cfg.batch_size < n) else None
 
     def update(p):
+        a_all = _kron_rows(right[p], basis_mats[p], left[p])
+        a_mat, tv = a_all, targets
         if batch is not None:
             idx = rng.choice(n, size=batch, replace=False)
-            lv, bv, rv, tv = left[p][idx], basis_mats[p][idx], right[p][idx], targets[idx]
-        else:
-            lv, bv, rv, tv = left[p], basis_mats[p], right[p], targets
-        a_mat = _kron_rows(rv, bv, lv)
+            a_mat, tv = a_all[idx], targets[idx]
         shape = cores[p].shape
         pens = lgram[p], lambdas[p], rgram[p]
 
-        def subproblem_objective(g):
-            resid = tv - a_mat @ g
+        def objective(g):
+            resid = targets - a_all @ g
             return float(resid @ resid) + _penalty_value(g, *pens, dmat, shape)
 
         h = a_mat.T @ a_mat
         _add_penalties(h, *pens, dmat, shape)
-        # The exact minimizer cannot raise the running objective, so a fast
-        # solve that does by more than rounding is redone by the stacked
-        # least squares.
-        prev = trace.update_objectives[-1] if (trace.update_objectives and batch is None) else None
+        # Every step is judged on the objective over all n rows. The exact
+        # full-batch minimizer cannot raise it, so a fast solve that does by
+        # more than the rounding of n squares is redone by the stacked least
+        # squares. A row sample's minimizer can; such a step is just rejected.
+        prev = trace.update_objectives[-1] if trace.update_objectives else None
+        bound = None
+        if prev is not None and batch is None:
+            bound = prev * (1.0 + n * np.finfo(float).eps)
         g, obj, used_stack = _solve_core(a_mat, tv, h,
                                          lambda: _penalty_root_blocks(*pens, dmat, shape),
-                                         subproblem_objective, prev)
+                                         objective, bound)
         trace.fallback_solves += used_stack
         if prev is not None and obj > prev:
             # Coordinate descent may always reject a non-improving step; the
@@ -462,7 +471,10 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
         trace.first_core_objectives.append(trace.update_objectives[-len(schedule)])
         trace.sweeps_run = sweep
         js = trace.first_core_objectives
-        if sweep >= 2 and abs(js[-2] - js[-1]) <= cfg.epsilon:
+        # An unchanged objective is a stall only if the next sweep would
+        # repeat this one; a mini-batch sweep draws new rows.
+        stalled = sweep >= 2 and abs(js[-2] - js[-1]) <= cfg.epsilon
+        if stalled and (batch is None or js[-2] != js[-1]):
             trace.stopped_early = True
             break
 

@@ -318,6 +318,39 @@ class TestAlsFit:
         assert np.isfinite(t1.update_objectives).all()
         assert t1.update_objectives == t2.update_objectives
 
+    @pytest.mark.parametrize("lam", [(0.001, 0.0, 0.01, 0.0, 0.001, 0.0, 0.1, 0.0), 0.0])
+    def test_mini_batch_is_monotone_on_all_rows(self, lam):
+        # A mini-batch step solves on sampled rows but is judged on the
+        # objective over all rows: the record never rises and ends at the
+        # full-data objective of the fitted model. Unpenalized dimensions
+        # once let batch steps drive the cores to ~1e10.
+        data = make_dataset(SynthSpec(seed=1), snr_db=20.0)
+        lags = LagSpec((1, 2, 3, 4), (1, 2, 3, 4))
+        basis = make_basis(2, 6)
+        cfg = FitConfig(ranks=5, penalty_order=2, lambdas=lam, max_sweeps=16, seed=0,
+                        batch_size=500)
+        model, trace = als_fit(data.u_est, data.y_est, lags, basis, cfg,
+                               scaling=Scaling.identity())
+        objs = trace.update_objectives
+        assert all(b <= a for a, b in zip(objs, objs[1:]))
+        # Most sampled steps are rejected; a sweep that keeps none is no
+        # stall at epsilon=0, since the next sweep draws new rows.
+        assert trace.sweeps_run == cfg.max_sweeps
+        x_rows, targets, _ = build_regressors(data.u_est, data.y_est, lags,
+                                              Scaling.identity())
+        tt = model.weights
+        bmats = [basis_rows(basis, x_rows[:, q]) for q in range(tt.order)]
+        a = build_design_matrix(tt, bmats, 0)
+        dmat = difference_matrix(basis.basis_count, 2)
+        lams = cfg.resolved_lambdas(tt.order)
+        g = tt.cores[0].reshape(-1, order="F")
+        resid = targets - a @ g
+        full = float(resid @ resid) + sum(
+            lams[j] * float(g @ build_penalty_matrix(tt, dmat, 0, j) @ g)
+            for j in range(tt.order)
+        )
+        assert abs(objs[-1] - full) <= 1e-9 * full
+
     def test_stopping_criterion_honored(self):
         data, spec, basis, cfg = small_problem(seed=5, lam=0.0, sweeps=12,
                                                epsilon=1e3)
