@@ -111,12 +111,9 @@ def _as_signal(v, name: str) -> np.ndarray:
     return v
 
 
-def _regressor_gather(lags: LagSpec):
-    """``gather(us, ys, idx)``: regressor rows at sample indices, in LagSpec's column order."""
-    in_lags = np.array(lags.input_lags, dtype=int)
-    out_lags = np.array(lags.output_lags, dtype=int)
-    return lambda us, ys, idx: np.concatenate(
-        [us[idx[:, None] - in_lags], ys[idx[:, None] - out_lags]], axis=1)
+def _lagged(v: np.ndarray, idx: np.ndarray, lags) -> np.ndarray:
+    """Row i, column j holds v[idx[i] - lags[j]]."""
+    return v[np.subtract.outer(idx, np.array(lags, dtype=int))]
 
 
 def build_regressors(u, y, lags: LagSpec, scaling: Scaling):
@@ -137,7 +134,9 @@ def build_regressors(u, y, lags: LagSpec, scaling: Scaling):
     us = scaling.scale_u(u)
     ys = scaling.scale_y(y)
     idx = np.arange(start, n)
-    return _regressor_gather(lags)(us, ys, idx), ys[idx], start
+    x = np.concatenate([_lagged(us, idx, lags.input_lags), _lagged(ys, idx, lags.output_lags)],
+                       axis=1)
+    return x, ys[idx], start
 
 
 def rmse(y, yhat) -> float:
@@ -188,15 +187,23 @@ class TnbsModel:
 
     def _surface_rows(self, xs: np.ndarray) -> np.ndarray:
         """Surface values for a batch of scaled regressor rows, shape (n, d)."""
-        n, d = xs.shape
-        # One basis_rows call covers all dimensions (the basis is shared);
-        # column-major flattening keeps each dimension's rows contiguous.
+        return self._fold_rows(xs, np.ones((len(xs), 1)))[:, 0]
+
+    def _fold_rows(self, xs: np.ndarray, v: np.ndarray, first: int = 0) -> np.ndarray:
+        """Carry chain products v through cores first, first + 1, ... of the columns of xs.
+
+        ``xs`` (n, m) holds the scaled regressor columns first..first+m-1 and
+        ``v`` (n, r_first) the chain already folded through the cores before
+        them; returns the chain products (n, r_{first+m}).
+        """
+        n, m = xs.shape
+        # One basis_rows call covers all columns (the basis is shared);
+        # column-major flattening keeps each column's rows contiguous.
         bmats = basis_rows(self.basis, xs.reshape(-1, order="F"))
-        bmats = bmats.reshape(d, n, self.basis.basis_count)
-        v = np.ones((n, 1))
-        for b, core in zip(bmats, self.weights.cores):
+        bmats = bmats.reshape(m, n, self.basis.basis_count)
+        for b, core in zip(bmats, self.weights.cores[first:first + m]):
             v = _fold_left(v, core, b)
-        return v[:, 0]
+        return v
 
     def predict(self, u, y) -> np.ndarray:
         """One-step predictions from measured lagged outputs.
@@ -214,7 +221,9 @@ class TnbsModel:
         produces one value per remaining sample. The warmup must reach the
         largest lag so every regressor exists at the first simulated step.
         Fed-back outputs are clipped onto the scaled [0, 1] box; the returned
-        values are unclipped, in original units.
+        values are unclipped, in original units. The exogenous input-lag chain
+        is folded once for all steps, so each step evaluates and folds only
+        the output-lag cores.
         """
         u = _as_signal(u, "u")
         y_warmup = np.asarray(y_warmup, dtype=float)
@@ -235,10 +244,17 @@ class TnbsModel:
         us = self.scaling.scale_u(u)
         hist = np.empty(n)
         hist[:t0] = self.scaling.scale_y(y_warmup)
+        # Input lags lead the regressor row (LagSpec order) and do not depend
+        # on fed-back outputs; with no output lags this is predict's batch.
+        head = self._fold_rows(_lagged(us, np.arange(t0, n), self.lags.input_lags),
+                               np.ones((n - t0, 1)))
+        if not self.lags.output_lags:
+            return self.scaling.unscale_y(head[:, 0])
+        out_lags = np.array(self.lags.output_lags, dtype=int)
+        nu = len(self.lags.input_lags)
         out = np.empty(n - t0)
-        gather = _regressor_gather(self.lags)
         for t in range(t0, n):
-            s = float(self._surface_rows(gather(us, hist, np.array([t])))[0])
+            s = float(self._fold_rows(hist[None, t - out_lags], head[t - t0, None], nu)[0, 0])
             out[t - t0] = s
             hist[t] = min(max(s, 0.0), 1.0)
         return self.scaling.unscale_y(out)

@@ -133,9 +133,12 @@ def dense_penalty(w: np.ndarray, d_mat: np.ndarray, axis: int) -> float:
 
 def _kron_rows(right: np.ndarray, mid: np.ndarray, left: np.ndarray) -> np.ndarray:
     # Row n is right_n (x) mid_n (x) left_n, matching the column-major
-    # vectorization of a core (left index fastest).
-    n = left.shape[0]
-    return np.einsum("nc,ni,na->ncia", right, mid, left).reshape(n, -1)
+    # vectorization of a core (left index fastest). The product order
+    # (right * mid) * left is the einsum's, which the tests hold bitwise.
+    n, a = left.shape
+    cols = right.shape[1] * mid.shape[1]
+    rm = (right[:, :, None] * mid[:, None, :]).reshape(n, cols)
+    return (rm[:, :, None] * left[:, None, :]).reshape(n, cols * a)
 
 
 def build_design_matrix(tt: TensorTrain, basis_mats, p: int) -> np.ndarray:

@@ -96,11 +96,17 @@ def generate_output(true_model: TnbsModel, u, warmup_zeros: int) -> np.ndarray:
 
 
 def add_noise(y, snr_db: float, seed=0) -> np.ndarray:
-    """Gaussian noise scaled to the requested SNR on mean-removed power."""
+    """Gaussian noise scaled to the requested SNR on mean-removed power.
+
+    An SNR of +inf adds no noise; NaN and -inf name no noise level and are
+    rejected.
+    """
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise ValueError("cannot add noise to an empty signal")
-    if np.isinf(snr_db):
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValueError(f"SNR must be a number of dB or +inf, got {snr_db}")
+    if snr_db == np.inf:
         return y.copy()
     rng = _as_rng(seed)
     power = float(np.mean((y - y.mean()) ** 2))

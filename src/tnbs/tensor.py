@@ -99,15 +99,25 @@ def tt_to_full(tt: TensorTrain, max_elements: int = DENSE_CAP) -> np.ndarray:
 
 
 def _fold_left(v: np.ndarray, core: np.ndarray, bmat: np.ndarray) -> np.ndarray:
-    """Carry per-sample chain products (n, r_{p-1}) through core p and its basis rows."""
-    m = np.einsum("ni,aic->nac", bmat, core)
-    return np.einsum("na,nac->nc", v, m)
+    """Carry per-sample chain products (n, r_{p-1}) through core p and its basis rows.
+
+    One matmul over Khatri–Rao rows: row n of the product is v_n (x) bmat_n,
+    matching the row-major (r_{p-1} k, r_p) view of the core.
+    """
+    n, a = v.shape
+    kr = (v[:, :, None] * bmat[:, None, :]).reshape(n, a * bmat.shape[1])
+    return kr @ core.reshape(a * bmat.shape[1], -1)
 
 
 def _fold_right(core: np.ndarray, bmat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Mirror of ``_fold_left``: carry right chain products (n, r_p) through core p."""
-    m = np.einsum("ni,aic->nac", bmat, core)
-    return np.einsum("nac,nc->na", m, v)
+    """Mirror of ``_fold_left``: carry right chain products (n, r_p) through core p.
+
+    One matmul over Khatri–Rao rows bmat_n (x) v_n against the (r_{p-1}, k r_p)
+    view of the core.
+    """
+    n, c = v.shape
+    kr = (bmat[:, :, None] * v[:, None, :]).reshape(n, bmat.shape[1] * c)
+    return kr @ core.reshape(core.shape[0], -1).T
 
 
 def _normalize_rank_caps(max_ranks, d: int):

@@ -127,6 +127,14 @@ def test_non_finite_penalty_weight_exits_2(dataset, tmp_path, lam):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("snr", ["nan", "-inf"])
+def test_non_finite_snr_exits_2(tmp_path, capsys, snr):
+    prefix = str(tmp_path / "noisy")
+    assert main(SYNTH_ARGS + ["--out-prefix", prefix, f"--snr={snr}"]) == 2
+    assert snr in capsys.readouterr().err
+    assert not (tmp_path / "noisy_est.csv").exists()
+
+
 def test_malformed_csv_reports_row(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("u,y\n0.1,0.2\nnot,a number\n")

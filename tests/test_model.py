@@ -224,6 +224,41 @@ class TestPredictSimulate:
         with pytest.raises(ValueError):
             model.simulate(np.zeros(10), np.zeros(1))
 
+    @pytest.mark.parametrize("lags", [
+        LagSpec((0, 2), (1, 3)),
+        LagSpec((), (1, 2, 3)),
+        LagSpec((1, 2, 3, 4, 8, 12, 16, 32), (1, 2, 3, 4, 8, 12, 16, 32)),
+    ], ids=["mixed", "output-only", "tanks"])
+    def test_simulate_matches_row_by_row_oracle(self, lags):
+        rng = np.random.default_rng(3)
+        d = lags.dimension
+        model = random_model(rng, d, (2,) * (d - 1), lags)
+        u = rng.random(120)
+        y_warmup = rng.random(lags.start_index)
+        expected = simulate_by_rows(model, u, y_warmup)
+        sim = model.simulate(u, y_warmup)
+        assert sim.shape == expected.shape
+        assert np.linalg.norm(sim - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_full_length_warmup_simulates_nothing(self):
+        model = constant_model(3, 0.4, lags=LagSpec((0, 1), (1,)))
+        sim = model.simulate(np.zeros(10), np.zeros(10))
+        assert sim.shape == (0,)
+
+
+def simulate_by_rows(model, u, y_warmup):
+    """Free run rebuilt one regressor row per step from u and the fed-back outputs."""
+    us = model.scaling.scale_u(u)
+    hist = list(model.scaling.scale_y(y_warmup))
+    out = []
+    for t in range(len(y_warmup), len(u)):
+        x = ([us[t - l] for l in model.lags.input_lags]
+             + [hist[t - l] for l in model.lags.output_lags])
+        s = model.eval_surface(np.array(x))
+        out.append(s)
+        hist.append(min(max(s, 0.0), 1.0))
+    return model.scaling.unscale_y(np.array(out))
+
 
 class TestRmse:
     def test_zero_for_identical(self):

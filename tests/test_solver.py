@@ -29,7 +29,7 @@ from tnbs import (
 )
 from tnbs.bspline import basis_rows
 from tnbs.model import TnbsModel, build_regressors
-from tnbs.solver import _accumulated_penalties, _add_penalties, _penalty_value
+from tnbs.solver import _accumulated_penalties, _add_penalties, _kron_rows, _penalty_value
 from tnbs.synth import SynthSpec, make_dataset
 
 
@@ -126,6 +126,15 @@ class TestDesignMatrix:
         bmats = [basis_rows(basis, xs[:, q]) for q in range(3)]
         with pytest.raises(ValueError):
             build_design_matrix(tt, bmats, 1)
+
+    @pytest.mark.parametrize("n, r_prev, r_next", [(0, 2, 3), (1, 1, 8), (7, 8, 1), (379, 8, 8)])
+    def test_kron_rows_equal_einsum(self, n, r_prev, r_next):
+        rng = np.random.default_rng(n)
+        right = rng.standard_normal((n, r_next))
+        mid = rng.random((n, 4))
+        left = rng.standard_normal((n, r_prev))
+        expected = np.einsum("nc,ni,na->ncia", right, mid, left).reshape(n, r_next * 4 * r_prev)
+        assert np.array_equal(_kron_rows(right, mid, left), expected)
 
 
 class TestPenaltyMatrix:

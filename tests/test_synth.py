@@ -127,6 +127,11 @@ class TestNoise:
         with pytest.raises(ValueError):
             add_noise(np.array([]), 10.0, seed=0)
 
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+    def test_undefined_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match=str(snr_db)):
+            add_noise(np.ones(5), snr_db, seed=0)
+
 
 class TestDataset:
     def test_default_split(self):

@@ -10,6 +10,7 @@ from tnbs import (
     tt_to_full,
     vectorize,
 )
+from tnbs.tensor import _fold_left, _fold_right
 
 
 def rel_err(a, b):
@@ -236,6 +237,35 @@ class TestShiftCore:
         tt = orthogonalize_to_site(random_tt(np.random.default_rng(21), (3, 3), (2,)), 0)
         with pytest.raises(ValueError):
             shift_core(tt, 0, "up")
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+@pytest.mark.parametrize("shape", [(1, 4, 3), (3, 4, 1), (2, 5, 3)],
+                         ids=["first", "last", "interior"])
+class TestFolds:
+    """The matmul folds against the two-step einsum contraction they replaced."""
+
+    def operands(self, n, shape):
+        rng = np.random.default_rng(n + 10 * shape[0])
+        core = rng.standard_normal(shape)
+        bmat = rng.random((n, shape[1]))
+        return rng, core, bmat
+
+    def test_fold_left_matches_einsum(self, n, shape):
+        rng, core, bmat = self.operands(n, shape)
+        v = rng.standard_normal((n, shape[0]))
+        expected = np.einsum("na,nac->nc", v, np.einsum("ni,aic->nac", bmat, core))
+        got = _fold_left(v, core, bmat)
+        assert got.shape == (n, shape[2])
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    def test_fold_right_matches_einsum(self, n, shape):
+        rng, core, bmat = self.operands(n, shape)
+        v = rng.standard_normal((n, shape[2]))
+        expected = np.einsum("nac,nc->na", np.einsum("ni,aic->nac", bmat, core), v)
+        got = _fold_right(core, bmat, v)
+        assert got.shape == (n, shape[0])
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 def mode_product(a, c, axis):
