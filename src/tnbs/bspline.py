@@ -26,6 +26,16 @@ class BasisConfig:
         return self.knot_param - self.degree
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int; a fractional, non-finite or non-numeric value is an error."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def make_basis(degree: int, knot_param: int) -> BasisConfig:
     """Build the uniform basis whose natural domain is [0, 1].
 
@@ -33,8 +43,8 @@ def make_basis(degree: int, knot_param: int) -> BasisConfig:
     t_i = (i - degree) / (m - 2*degree). Requires m > 2*degree so the natural
     domain does not collapse.
     """
-    degree = int(degree)
-    knot_param = int(knot_param)
+    degree = _as_int(degree, "degree")
+    knot_param = _as_int(knot_param, "knot parameter")
     if degree < 0:
         raise ValueError("degree must be non-negative")
     if knot_param <= 2 * degree:

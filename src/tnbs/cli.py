@@ -100,7 +100,6 @@ def _fit_inputs(args):
         max_sweeps=args.sweeps,
         epsilon=args.epsilon,
         seed=args.seed,
-        batch_size=args.batch_size,
     )
     scaling = Scaling.identity() if args.scaling == "unit" else None
     return lags, basis, cfg, scaling
@@ -244,9 +243,6 @@ def _add_model_flags(p, with_lambda: bool) -> None:
     p.add_argument("--sweeps", type=int, default=16, help="maximum number of sweeps")
     p.add_argument("--epsilon", type=float, default=0.0,
                    help="stopping tolerance on the first-core objective")
-    p.add_argument("--batch-size", type=int, default=None,
-                   help="rows sampled to solve each core update; a step that raises "
-                        "the objective over all rows is rejected (default: all)")
     p.add_argument("--scaling", choices=("data", "unit"), default="data",
                    help="min-max scaling fitted from data, or identity for data in [0,1]")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bspline import BasisConfig, basis_rows, make_basis
+from .bspline import BasisConfig, _as_int, basis_rows, make_basis
 from .tensor import TensorTrain, _fold_left
 
 MODEL_FORMAT_VERSION = 1
@@ -33,8 +33,8 @@ class LagSpec:
     output_lags: tuple[int, ...]
 
     def __post_init__(self):
-        in_lags = tuple(sorted({int(l) for l in self.input_lags}))
-        out_lags = tuple(sorted({int(l) for l in self.output_lags}))
+        in_lags = tuple(sorted({_as_int(l, "input lag") for l in self.input_lags}))
+        out_lags = tuple(sorted({_as_int(l, "output lag") for l in self.output_lags}))
         if any(l < 0 for l in in_lags):
             raise ValueError("input lags must be non-negative")
         if any(l < 1 for l in out_lags):

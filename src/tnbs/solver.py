@@ -46,10 +46,7 @@ class FitConfig:
     bond); ``lambdas`` weight the difference penalty per dimension (a scalar
     broadcasts). ``penalty_order`` is the difference order: 0 is plain ridge,
     1 penalizes adjacent-weight jumps, 2 curvature. ``epsilon`` stops the
-    sweeps once the first-core objective stalls; ``max_sweeps`` is the hard
-    cap. ``batch_size`` (optional) samples that many rows to solve each core
-    update; the step is kept only if it does not raise the objective over all
-    rows, and a mini-batch sweep that keeps no step does not stop the fit.
+    sweeps once the first-core objective stalls; ``max_sweeps`` is the hard cap.
     """
 
     ranks: int | tuple[int, ...] = 4
@@ -58,7 +55,6 @@ class FitConfig:
     max_sweeps: int = 16
     epsilon: float = 0.0
     seed: int = 0
-    batch_size: int | None = None
 
     def __post_init__(self):
         if self.penalty_order < 0:
@@ -67,8 +63,6 @@ class FitConfig:
             raise ValueError("need at least one sweep")
         if not self.epsilon >= 0:
             raise ValueError("stopping tolerance must be non-negative")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch size must be positive")
 
     def resolved_ranks(self, d: int) -> tuple[int, ...]:
         return tuple(_normalize_rank_caps(self.ranks, d))
@@ -305,16 +299,13 @@ def _solve_core(a_mat, targets, h, root_blocks, objective=None, bound=None):
 
     ``h`` is the normal matrix A'A + R'R and ``root_blocks()`` lists the row
     blocks of R, a square root of the penalty matrix (none for a zero
-    penalty). A and ``targets`` may be a row sample of the subproblem that
-    ``objective`` sums over all rows: a mini-batch update samples rows for its
-    solve but is kept only if it does not raise the objective over all rows.
-    The fast route solves the normal equations with numpy's LU. The
+    penalty). The fast route solves the normal equations with numpy's LU. The
     minimal-norm least squares on A stacked over R, accurate where the
     normal equations lose digits, takes over when that solve fails or is not
-    finite, or when ``objective`` of its solution exceeds ``bound``, which a
-    full-batch sweep sets to the running objective plus the rounding of its
-    sum of squares. Returns (g, objective(g) or None, whether the stacked
-    route was taken).
+    finite, or when ``objective`` of its solution exceeds ``bound``, which the
+    sweep sets to the running objective plus the rounding of its sum of
+    squares. Returns (g, objective(g) or None, whether the stacked route was
+    taken).
     """
     if not np.isfinite(a_mat).all() or not np.isfinite(targets).all():
         raise NumericalError("non-finite values in the least-squares subproblem")
@@ -424,32 +415,23 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
     for p in range(d - 1, 0, -1):
         refold(p, -1)
 
-    batch = cfg.batch_size if (cfg.batch_size is not None and cfg.batch_size < n) else None
-
     def update(p):
-        a_all = _kron_rows(right[p], basis_mats[p], left[p])
-        a_mat, tv = a_all, targets
-        if batch is not None:
-            idx = rng.choice(n, size=batch, replace=False)
-            a_mat, tv = a_all[idx], targets[idx]
+        a_mat = _kron_rows(right[p], basis_mats[p], left[p])
         shape = cores[p].shape
         pens = lgram[p], lambdas[p], rgram[p]
 
         def objective(g):
-            resid = targets - a_all @ g
+            resid = targets - a_mat @ g
             return float(resid @ resid) + _penalty_value(g, *pens, dmat, shape)
 
         h = a_mat.T @ a_mat
         _add_penalties(h, *pens, dmat, shape)
-        # Every step is judged on the objective over all n rows. The exact
-        # full-batch minimizer cannot raise it, so a fast solve that does by
-        # more than the rounding of n squares is redone by the stacked least
-        # squares. A row sample's minimizer can; such a step is just rejected.
+        # The exact minimizer cannot raise the objective, so a fast solve that
+        # does by more than the rounding of n squares is redone by the stacked
+        # least squares.
         prev = trace.update_objectives[-1] if trace.update_objectives else None
-        bound = None
-        if prev is not None and batch is None:
-            bound = prev * (1.0 + n * np.finfo(float).eps)
-        g, obj, used_stack = _solve_core(a_mat, tv, h,
+        bound = None if prev is None else prev * (1.0 + n * np.finfo(float).eps)
+        g, obj, used_stack = _solve_core(a_mat, targets, h,
                                          lambda: _penalty_root_blocks(*pens, dmat, shape),
                                          objective, bound)
         trace.fallback_solves += used_stack
@@ -474,10 +456,7 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
         trace.first_core_objectives.append(trace.update_objectives[-len(schedule)])
         trace.sweeps_run = sweep
         js = trace.first_core_objectives
-        # An unchanged objective is a stall only if the next sweep would
-        # repeat this one; a mini-batch sweep draws new rows.
-        stalled = sweep >= 2 and abs(js[-2] - js[-1]) <= cfg.epsilon
-        if stalled and (batch is None or js[-2] != js[-1]):
+        if sweep >= 2 and abs(js[-2] - js[-1]) <= cfg.epsilon:
             trace.stopped_early = True
             break
 

@@ -38,6 +38,10 @@ class SynthSpec:
             raise ValueError("smoothing window must be odd and at least 1")
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
+        if not (np.isfinite(self.w_min) and np.isfinite(self.w_max)):
+            raise ValueError(
+                f"weight levels must be finite, got w_min={self.w_min}, w_max={self.w_max}"
+            )
 
     @property
     def lags(self) -> LagSpec:

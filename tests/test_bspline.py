@@ -48,6 +48,13 @@ class TestMakeBasis:
         with pytest.raises(ValueError):
             make_basis(-1, 4)
 
+    def test_fractional_parameters_rejected(self):
+        with pytest.raises(ValueError, match="2.9"):
+            make_basis(2.9, 6)
+        with pytest.raises(ValueError, match="6.5"):
+            make_basis(2, 6.5)
+        assert make_basis(2.0, 6.0).basis_count == 4
+
 
 class TestEvalBasis:
     def test_degree_zero_indicator(self):

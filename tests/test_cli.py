@@ -1,9 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tnbs.cli import main, read_signal_csv, write_signal_csv
+from tnbs.cli import build_parser, main, read_signal_csv, write_signal_csv
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SYNTH_ARGS = [
     "synth", "--n", "700", "--split", "500", "--lags-u", "1,2", "--lags-y", "1",
@@ -133,6 +138,35 @@ def test_non_finite_snr_exits_2(tmp_path, capsys, snr):
     assert main(SYNTH_ARGS + ["--out-prefix", prefix, f"--snr={snr}"]) == 2
     assert snr in capsys.readouterr().err
     assert not (tmp_path / "noisy_est.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--w-min", "nan"), ("--w-max", "inf")])
+def test_non_finite_weight_level_exits_2(tmp_path, capsys, flag, value):
+    prefix = str(tmp_path / "levels")
+    assert main(SYNTH_ARGS + ["--out-prefix", prefix, flag, value]) == 2
+    assert value in capsys.readouterr().err
+    assert not (tmp_path / "levels_est.csv").exists()
+
+
+def readme_commands() -> list[list[str]]:
+    """Every ``tnbs`` command line in the README's ``sh`` blocks, as argv."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.split()[:1] == ["tnbs"]:
+                commands.append(shlex.split(line.replace("<chosen>", "0.01"))[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {"synth", "fit", "predict", "simulate", "cv"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: tnbs {shlex.join(argv)}")
 
 
 def test_malformed_csv_reports_row(tmp_path, capsys):

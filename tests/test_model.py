@@ -59,6 +59,11 @@ class TestLagSpec:
         with pytest.raises(ValueError):
             LagSpec((), ())
 
+    def test_fractional_lag_rejected(self):
+        with pytest.raises(ValueError, match="4.6"):
+            LagSpec((1, 4.6), (1,))
+        assert LagSpec((2.0,), (1,)).input_lags == (2,)
+
     def test_input_only(self):
         lags = LagSpec((0, 2), ())
         assert lags.dimension == 2
@@ -323,8 +328,12 @@ class TestSerialization:
         lambda doc: doc["cores"][1].update(shape=[3, 4, 2], values=[0.0] * 24),
         lambda doc: doc.update(knot_param=4),
         lambda doc: doc.update(output_lags=[0]),
+        lambda doc: doc.update(input_lags=[0, 1.6]),
+        lambda doc: doc.update(degree=2.9),
+        lambda doc: doc.update(knot_param=6.5),
     ], ids=["nan-core", "inf-core", "neg-inf-core", "inf-scaling", "nan-scaling",
-            "value-count", "rank-mismatch", "knot-param", "output-lag-0"])
+            "value-count", "rank-mismatch", "knot-param", "output-lag-0",
+            "fractional-lag", "fractional-degree", "fractional-knot-param"])
     def test_invalid_document_names_the_file(self, tmp_path, corrupt):
         model = random_model(np.random.default_rng(7), 3, (2, 2), LagSpec((0, 1), (1,)))
         path = tmp_path / "model.json"

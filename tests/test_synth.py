@@ -155,6 +155,13 @@ class TestDataset:
         with pytest.raises(ValueError):
             SynthSpec(smoothing_window=2)
 
+    @pytest.mark.parametrize("w_min,w_max", [(np.nan, 5.0), (-4.0, np.inf), (-np.inf, 5.0)])
+    def test_non_finite_weight_levels_rejected(self, w_min, w_max):
+        with pytest.raises(ValueError) as info:
+            SynthSpec(w_min=w_min, w_max=w_max)
+        assert f"w_min={w_min}" in str(info.value)
+        assert f"w_max={w_max}" in str(info.value)
+
 
 def test_roundtrip_identifiability():
     # fitting with the true hyperparameters on noiseless data recovers the system
