@@ -289,7 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("cv", help="choose the penalty weight by cross-validation")
+    p = sub.add_parser(
+        "cv", help="choose the penalty weight by cross-validation",
+        description="Choose the penalty weight by blocked cross-validation. The fits run in "
+                    "up to one worker process per usable CPU, each at one BLAS thread, so "
+                    "the scores do not depend on the caller's thread settings.")
     p.add_argument("--data", required=True)
     p.add_argument("--lambdas", type=_float_list, required=True,
                    help="comma-separated candidate penalty weights")

@@ -23,6 +23,10 @@ views over these kernels, so the checks on them exercise the fit's own path.
 from __future__ import annotations
 
 import dataclasses
+import os
+import pickle
+import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -474,12 +478,19 @@ def cross_validate_lambda(u, y, lags, basis, cfg, lambda_grid, folds: int,
     RMSE (original units) on each held-out block; the winner minimizes the
     mean, with ties going to the larger value. Returns (best_lambda, scores)
     where scores has shape (len(grid), folds).
+
+    Every grid value and the ranks and penalty order are checked before any
+    fit starts. The (grid value, fold) fits run in up to one worker process
+    per usable CPU, each at one BLAS thread, so the scores do not depend on
+    the caller's thread settings. The workers' warnings are issued and the
+    first failing fit's exception is raised here, in (grid value, fold) order.
     """
     grid = [float(l) for l in lambda_grid]
     if not grid:
         raise ValueError("the lambda grid is empty")
     if folds < 2:
         raise ValueError("cross-validation needs at least 2 folds")
+    cfgs = _grid_configs(cfg, grid, lags.dimension, basis.basis_count)
     u = _as_signal(u, "u")
     y = _as_signal(y, "y")
     if scaling is None:
@@ -489,19 +500,127 @@ def cross_validate_lambda(u, y, lags, basis, cfg, lambda_grid, folds: int,
     if folds > n:
         raise ValueError(f"{folds} folds exceed the {n} available samples")
     blocks = np.array_split(np.arange(n), folds)
+    jobs = [(li, fi) for li in range(len(grid)) for fi in range(folds)]
+    results = _run_cv_jobs((x_rows, targets, blocks, lags, basis, cfgs, scaling), jobs)
     scores = np.empty((len(grid), folds))
-    for li, lam in enumerate(grid):
-        cfg_lam = dataclasses.replace(cfg, lambdas=lam)
-        for fi, val_idx in enumerate(blocks):
-            train_idx = np.concatenate([b for bi, b in enumerate(blocks) if bi != fi])
-            model, _ = _fit_rows(x_rows[train_idx], targets[train_idx], lags, basis,
-                                 cfg_lam, scaling)
-            pred = scaling.unscale_y(model._surface_rows(x_rows[val_idx]))
-            truth = scaling.unscale_y(targets[val_idx])
-            scores[li, fi] = rmse(truth, pred)
+    issued = set()
+    for (li, fi), outcome, caught in results:
+        for w in caught:
+            if w not in issued:
+                issued.add(w)
+                category, message, filename, lineno = w
+                warnings.warn_explicit(message, category, filename, lineno)
+        if isinstance(outcome, Exception):
+            raise outcome
+        scores[li, fi] = outcome
     means = scores.mean(axis=1)
     best = 0
     for i in range(1, len(grid)):
         if means[i] < means[best] or (means[i] == means[best] and grid[i] > grid[best]):
             best = i
     return grid[best], scores
+
+
+def _grid_configs(cfg, grid, d, k):
+    """One FitConfig per grid value, checked as the fits would check them."""
+    cfg.resolved_ranks(d)
+    difference_matrix(k, cfg.penalty_order)
+    cfgs = []
+    for i, lam in enumerate(grid):
+        cfg_lam = dataclasses.replace(cfg, lambdas=lam)
+        try:
+            cfg_lam.resolved_lambdas(d)
+        except ValueError as exc:
+            raise ValueError(f"lambda grid value {lam!r} at position {i}: {exc}") from None
+        cfgs.append(cfg_lam)
+    return cfgs
+
+
+# Workers start at one BLAS thread each, so W workers share W cores without
+# oversubscribing them.
+_WORKER_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _run_cv_jobs(inputs, jobs):
+    """Run (grid index, fold) jobs in worker interpreters; results in job order.
+
+    The jobs are dealt round-robin to min(#jobs, usable CPUs) fresh
+    ``python -c`` interpreters that import this copy of tnbs. Each reads its
+    share of ``inputs`` pickled on stdin and answers as ``_cv_worker`` says.
+    multiprocessing is not used: spawn and forkserver re-import the caller's
+    ``__main__``, which breaks unguarded scripts, and fork inherits its BLAS
+    threads. Every worker is killed and reaped before returning.
+    """
+    import subprocess
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_workers = min(len(jobs), cpus or 1)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, **_WORKER_THREADS,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    procs = []
+    try:
+        for _ in range(n_workers):
+            procs.append(subprocess.Popen(
+                [sys.executable, "-c", "from tnbs.solver import _cv_worker; _cv_worker()"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env))
+        # A worker reads all of its input before it writes any output, and its
+        # stderr is the caller's, so feeding the workers one after the other
+        # cannot deadlock on a full pipe.
+        for w, proc in enumerate(procs):
+            try:
+                proc.stdin.write(pickle.dumps((*inputs, jobs[w::n_workers])))
+                proc.stdin.close()
+            except BrokenPipeError:
+                pass  # the worker is gone; its exit code is reported below
+        results = []
+        for proc in procs:
+            out = proc.stdout.read()
+            code = proc.wait()
+            if code != 0 or not out:
+                raise RuntimeError(
+                    f"a cross-validation worker exited with code {code} without a result")
+            results += pickle.loads(out)
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            try:
+                proc.stdin.close()
+            except BrokenPipeError:
+                pass
+    return sorted(results, key=lambda r: r[0])
+
+
+def _cv_worker():
+    """Entry point of a cross-validation worker interpreter.
+
+    Reads (rows, targets, blocks, lags, basis, per-grid configs, scaling,
+    jobs) pickled on stdin. For each (grid index, fold) job in turn it fits
+    on the other blocks and scores the held-out one, recording every warning.
+    Writes one (job, RMSE or exception, warnings) triple per job, up to and
+    including the first that fails, pickled on stdout.
+    """
+    out = sys.stdout.buffer
+    sys.stdout = sys.stderr  # stray prints must not corrupt the result
+    x_rows, targets, blocks, lags, basis, cfgs, scaling, jobs = pickle.load(sys.stdin.buffer)
+    results = []
+    for li, fi in jobs:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                train_idx = np.concatenate([b for bi, b in enumerate(blocks) if bi != fi])
+                model, _ = _fit_rows(x_rows[train_idx], targets[train_idx], lags, basis,
+                                     cfgs[li], scaling)
+                pred = scaling.unscale_y(model._surface_rows(x_rows[blocks[fi]]))
+                outcome = rmse(scaling.unscale_y(targets[blocks[fi]]), pred)
+            except Exception as exc:
+                outcome = exc
+        seen = dict.fromkeys((w.category, str(w.message), w.filename, w.lineno)
+                             for w in caught)
+        results.append(((li, fi), outcome, list(seen)))
+        if isinstance(outcome, Exception):
+            break
+    out.write(pickle.dumps(results))
+    out.flush()

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,20 @@ def test_non_finite_penalty_weight_exits_2(dataset, tmp_path, lam):
                  str(tmp_path / "m.json"), "--lam", lam] + FIT_ARGS)
     assert code == 2
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("lambdas,value", [("0.1,-1", "-1.0"), ("0.1,nan", "nan")])
+def test_cv_bad_grid_value_exits_2_before_fitting(dataset, tmp_path, capsys, monkeypatch,
+                                                  lambdas, value):
+    def no_launch(*args, **kwargs):
+        raise AssertionError("a worker was launched")
+
+    monkeypatch.setattr(subprocess, "Popen", no_launch)
+    code = main(["cv", "--data", dataset + "_est.csv", "--lambdas", lambdas,
+                 "--report", str(tmp_path / "cv.json")] + FIT_ARGS)
+    assert code == 2
+    assert f"lambda grid value {value} at position 1" in capsys.readouterr().err
+    assert not (tmp_path / "cv.json").exists()
 
 
 @pytest.mark.parametrize("snr", ["nan", "-inf"])

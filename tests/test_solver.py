@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -492,6 +493,23 @@ class TestCrossValidation:
             cross_validate_lambda(data.u_est[:20], data.y_est[:20], spec.lags,
                                   basis, cfg, [0.1], 50, scaling=Scaling.identity())
 
+    @pytest.mark.parametrize("change,grid,match", [
+        ({}, [0.1, -1.0], r"-1\.0 at position 1"),
+        ({}, [0.1, np.nan], r"nan at position 1"),
+        ({}, [np.inf, 0.1], r"inf at position 0"),
+        ({"penalty_order": 6}, [0.1], r"difference order 6"),
+        ({"ranks": (2, 2, 2)}, [0.1], r"interior ranks"),
+    ], ids=["negative", "nan", "inf", "penalty-order", "rank-vector"])
+    def test_bad_grid_or_config_fails_before_any_worker(self, monkeypatch, change, grid, match):
+        def no_launch(*args, **kwargs):
+            raise AssertionError("a worker was launched")
+
+        monkeypatch.setattr(subprocess, "Popen", no_launch)
+        data, spec, basis, cfg = small_problem(seed=13)
+        cfg = dataclasses.replace(cfg, **change)
+        with pytest.raises(ValueError, match=match):
+            cross_validate_lambda(data.u_est, data.y_est, spec.lags, basis, cfg, grid, 3)
+
 
 def run_python(code, **env):
     """Run code in a fresh interpreter that imports this checkout's tnbs."""
@@ -535,3 +553,140 @@ def test_solve_route_agrees_across_blas_threads():
     assert fb1 == fb2 == 0
     assert abs(obj1 - obj2) <= 1e-12 * obj1
     assert all(run["0.0"][0] > 0 for run in runs)
+
+
+def test_import_loads_no_process_modules():
+    out = run_python("import sys, tnbs; print([m for m in sys.modules "
+                     "if m.split('.')[0] in ('subprocess', 'multiprocessing')])")
+    assert out.strip() == "[]"
+
+
+THREAD_CV = """
+import json
+import numpy as np
+from tnbs import FitConfig, LagSpec, Scaling, cross_validate_lambda, make_basis, rmse
+from tnbs.model import build_regressors
+from tnbs.solver import _fit_rows
+from tnbs.synth import SynthSpec, make_dataset
+data = make_dataset(SynthSpec(seed=0), snr_db=20.0)
+lags, basis, scaling = LagSpec((1, 2, 3, 4), (1, 2, 3, 4)), make_basis(2, 6), Scaling.identity()
+cfg = FitConfig(ranks=5, penalty_order=2, max_sweeps=2, seed=0)
+grid = (0.0, 1e-3)
+best, scores = cross_validate_lambda(data.u_est, data.y_est, lags, basis, cfg, grid, 3,
+                                     scaling=scaling)
+x_rows, targets, _ = build_regressors(data.u_est, data.y_est, lags, scaling)
+blocks = np.array_split(np.arange(len(targets)), 3)
+serial = []
+for lam in grid:
+    for fi, val in enumerate(blocks):
+        train = np.concatenate([b for bi, b in enumerate(blocks) if bi != fi])
+        model, _ = _fit_rows(x_rows[train], targets[train], lags, basis,
+                             FitConfig(ranks=5, penalty_order=2, lambdas=lam, max_sweeps=2,
+                                       seed=0), scaling)
+        serial.append(rmse(targets[val], model._surface_rows(x_rows[val])))
+print(json.dumps({"best": best, "scores": [v.hex() for v in scores.ravel()],
+                  "serial": [float(v).hex() for v in serial]}))
+"""
+
+
+def test_cv_scores_independent_of_caller_blas_threads():
+    # At lambda = 0 rounding decides the fit: fitted in-process at two BLAS
+    # threads instead of one, these folds score up to 2.2e-8 relative apart.
+    # The workers always run at one thread, so the caller's setting cannot
+    # matter.
+    one, two = (json.loads(run_python(THREAD_CV, OPENBLAS_NUM_THREADS=t)) for t in ("1", "2"))
+    assert one["scores"] == two["scores"]
+    assert one["best"] == two["best"]
+    assert one["scores"] == one["serial"]
+
+
+def write_sitecustomize(monkeypatch, tmp_path, body):
+    """Have every worker interpreter run ``body`` at start-up."""
+    (tmp_path / "sitecustomize.py").write_text(body, encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")]))
+    monkeypatch.setenv("PYTHONPATH", path)
+
+
+def record_launches(monkeypatch):
+    launched = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            launched.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return launched
+
+
+UNGUARDED_SCRIPT = """
+from tnbs import Scaling, cross_validate_lambda
+from tnbs.synth import SynthSpec, make_dataset
+from tnbs import FitConfig, make_basis
+spec = SynthSpec(input_lags=(1, 2), output_lags=(1,), ranks=2, seed=3, n_samples=4200,
+                 smoothing_window=1)
+data = make_dataset(spec, snr_db=20.0, n_estimation=4000)
+best, scores = cross_validate_lambda(data.u_est, data.y_est, spec.lags, make_basis(2, 6),
+                                     FitConfig(ranks=2, max_sweeps=1), [0.0, 0.1], 3,
+                                     scaling=Scaling.identity())
+print("chosen", best, scores.shape)
+"""
+
+
+def test_unguarded_script_runs_cross_validation(tmp_path):
+    # No __main__ guard: a worker that re-imported the caller's script, as
+    # multiprocessing's spawn does, would run the CV again in every worker.
+    # 4000 rows of inputs also exceed a 64 KiB pipe buffer.
+    script = tmp_path / "cv_script.py"
+    script.write_text(UNGUARDED_SCRIPT, encoding="utf-8")
+    src = str(Path(tnbs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("chosen") and result.stdout.strip().endswith("(2, 3)")
+
+
+def test_worker_exception_reaches_caller_and_no_worker_outlives(monkeypatch, tmp_path):
+    write_sitecustomize(monkeypatch, tmp_path, (
+        "import tnbs.solver\n"
+        "def _fit_rows(*args):\n"
+        "    raise tnbs.solver.NumericalError('injected failure')\n"
+        "tnbs.solver._fit_rows = _fit_rows\n"))
+    launched = record_launches(monkeypatch)
+    data, spec, basis, cfg = small_problem(seed=14)
+    with pytest.raises(NumericalError, match="injected failure"):
+        cross_validate_lambda(data.u_est, data.y_est, spec.lags, basis, cfg, [0.0, 0.1], 3)
+    assert launched
+    assert all(proc.returncode is not None for proc in launched)
+
+
+def test_worker_death_names_exit_code(monkeypatch, tmp_path):
+    # The worker dies before reading its input, which is larger than a pipe
+    # buffer, so feeding it meets a broken pipe.
+    write_sitecustomize(monkeypatch, tmp_path, "import os\nos._exit(3)\n")
+    launched = record_launches(monkeypatch)
+    data, spec, basis, cfg = small_problem(seed=15, n_samples=4000)
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        cross_validate_lambda(data.u_est, data.y_est, spec.lags, basis, cfg, [0.0, 0.1], 3)
+    assert launched
+    assert all(proc.returncode is not None for proc in launched)
+
+
+def test_worker_warning_reaches_caller(monkeypatch, tmp_path):
+    write_sitecustomize(monkeypatch, tmp_path, (
+        "import warnings, tnbs.solver\n"
+        "fit_rows = tnbs.solver._fit_rows\n"
+        "def _fit_rows(*args):\n"
+        "    warnings.warn('injected warning', RuntimeWarning)\n"
+        "    return fit_rows(*args)\n"
+        "tnbs.solver._fit_rows = _fit_rows\n"))
+    data, spec, basis, cfg = small_problem(seed=16, sweeps=2)
+    with pytest.warns(RuntimeWarning, match="injected warning"):
+        _, scores = cross_validate_lambda(data.u_est, data.y_est, spec.lags, basis, cfg,
+                                          [0.0, 0.1], 2)
+    assert np.isfinite(scores).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="injected warning"):
+            cross_validate_lambda(data.u_est, data.y_est, spec.lags, basis, cfg, [0.0, 0.1], 2)
