@@ -298,33 +298,53 @@ def build_penalty_matrix(tt: TensorTrain, d_mat: np.ndarray, p: int, j: int) -> 
     return om
 
 
-def _solve_core(a_mat, targets, h, root_blocks, objective=None, bound=None):
+def _solve_core(design, targets, penalize, root_blocks, penalty_value=None, bound=None):
     """Minimize ||targets - A g||^2 + ||R g||^2 for one vectorized core.
 
-    ``h`` is the normal matrix A'A + R'R and ``root_blocks()`` lists the row
-    blocks of R, a square root of the penalty matrix (none for a zero
-    penalty). The fast route solves the normal equations with numpy's LU. The
-    minimal-norm least squares on A stacked over R, accurate where the
-    normal equations lose digits, takes over when that solve fails or is not
-    finite, or when ``objective`` of its solution exceeds ``bound``, which the
-    sweep sets to the running objective plus the rounding of its sum of
-    squares. Returns (g, objective(g) or None, whether the stacked route was
-    taken).
+    ``design()`` returns A, ``penalize(h)`` adds R'R to the normal matrix A'A
+    in place and ``root_blocks()`` lists the row blocks of R, a square root of
+    the penalty matrix (none for a zero penalty). The fast route solves the
+    normal equations with numpy's LU. The minimal-norm least squares on A
+    stacked over R, accurate where the normal equations lose digits, takes
+    over when that solve fails or is not finite, or when the objective
+    ||targets - A g||^2 + ``penalty_value(g)`` of its solution exceeds
+    ``bound``, which the sweep sets to the running objective plus the
+    rounding of its sum of squares. Returns (g, objective(g) or None, whether
+    the stacked route was taken).
+
+    The stack holds a copy of A and lstsq copies the stack once more, so the
+    normal matrix is dropped after the LU solve and A once the stack is
+    built: where nothing else holds A (the sweep builds it in ``design``),
+    the stacked route peaks at two copies of the stack, not two plus A and
+    A'A.
     """
+    a_mat = design()
     if not np.isfinite(a_mat).all() or not np.isfinite(targets).all():
         raise NumericalError("non-finite values in the least-squares subproblem")
+    h = a_mat.T @ a_mat
+    penalize(h)
     try:
         g = np.linalg.solve(h, a_mat.T @ targets)
     except np.linalg.LinAlgError:
         g = None
+    del h
+
+    def objective(rows, g):
+        if penalty_value is None:
+            return None
+        resid = targets - rows @ g
+        return float(resid @ resid) + penalty_value(g)
+
     if g is not None and np.isfinite(g).all():
-        obj = objective(g) if objective is not None else None
+        obj = objective(a_mat, g)
         if bound is None or obj <= bound:
             return g, obj, False
+    n = len(targets)
     stacked = np.vstack([a_mat] + root_blocks())
-    rhs = np.concatenate([targets, np.zeros(stacked.shape[0] - len(targets))])
+    del a_mat
+    rhs = np.concatenate([targets, np.zeros(stacked.shape[0] - n)])
     g = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
-    return g, (objective(g) if objective is not None else None), True
+    return g, objective(stacked[:n], g), True
 
 
 def update_core(a_mat, targets, penalty_mats, lambdas) -> np.ndarray:
@@ -345,16 +365,14 @@ def update_core(a_mat, targets, penalty_mats, lambdas) -> np.ndarray:
         )
     if len(penalty_mats) != len(lambdas):
         raise ValueError("one penalty weight per penalty matrix is required")
-    h = a_mat.T @ a_mat
     pen = None
     for om, lam in zip(penalty_mats, lambdas):
         if lam != 0.0:
             term = lam * np.asarray(om, dtype=float)
             pen = term if pen is None else pen + term
-    if pen is not None:
-        h = h + pen
     roots = (lambda: []) if pen is None else (lambda: [_psd_sqrt(pen)])
-    return _solve_core(a_mat, targets, h, roots)[0]
+    return _solve_core(lambda: a_mat, targets,
+                       lambda h: None if pen is None else np.add(h, pen, out=h), roots)[0]
 
 
 def als_fit(u, y, lags: LagSpec, basis: BasisConfig, cfg: FitConfig,
@@ -420,24 +438,18 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
         refold(p, -1)
 
     def update(p):
-        a_mat = _kron_rows(right[p], basis_mats[p], left[p])
         shape = cores[p].shape
         pens = lgram[p], lambdas[p], rgram[p]
-
-        def objective(g):
-            resid = targets - a_mat @ g
-            return float(resid @ resid) + _penalty_value(g, *pens, dmat, shape)
-
-        h = a_mat.T @ a_mat
-        _add_penalties(h, *pens, dmat, shape)
         # The exact minimizer cannot raise the objective, so a fast solve that
         # does by more than the rounding of n squares is redone by the stacked
         # least squares.
         prev = trace.update_objectives[-1] if trace.update_objectives else None
         bound = None if prev is None else prev * (1.0 + n * np.finfo(float).eps)
-        g, obj, used_stack = _solve_core(a_mat, targets, h,
-                                         lambda: _penalty_root_blocks(*pens, dmat, shape),
-                                         objective, bound)
+        g, obj, used_stack = _solve_core(
+            lambda: _kron_rows(right[p], basis_mats[p], left[p]), targets,
+            lambda h: _add_penalties(h, *pens, dmat, shape),
+            lambda: _penalty_root_blocks(*pens, dmat, shape),
+            lambda g: _penalty_value(g, *pens, dmat, shape), bound)
         trace.fallback_solves += used_stack
         if prev is not None and obj > prev:
             # Coordinate descent may always reject a non-improving step; the

@@ -555,6 +555,34 @@ def test_solve_route_agrees_across_blas_threads():
     assert all(run["0.0"][0] > 0 for run in runs)
 
 
+def test_stacked_solve_frees_the_design_rows(monkeypatch):
+    # The stack copies the design rows A and lstsq copies the stack, so A must
+    # be gone before lstsq runs; otherwise a fit whose data send an update to
+    # the stacked route peaks higher by A's size on top of the two stacks.
+    import weakref
+
+    built, alive_at_lstsq = [], []
+    kron_rows, lstsq = tnbs.solver._kron_rows, np.linalg.lstsq
+
+    def recording_kron_rows(*args):
+        a_mat = kron_rows(*args)
+        built.append(weakref.ref(a_mat))
+        return a_mat
+
+    def checking_lstsq(*args, **kwargs):
+        alive_at_lstsq.append(built[-1]() is not None)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(tnbs.solver, "_kron_rows", recording_kron_rows)
+    monkeypatch.setattr(np.linalg, "lstsq", checking_lstsq)
+    data = make_dataset(SynthSpec(seed=0), snr_db=20.0)
+    cfg = FitConfig(ranks=5, penalty_order=2, lambdas=0.0, max_sweeps=2, seed=0)
+    _, trace = als_fit(data.u_est, data.y_est, LagSpec((1, 2, 3, 4), (1, 2, 3, 4)),
+                       make_basis(2, 6), cfg, scaling=Scaling.identity())
+    assert trace.fallback_solves == len(alive_at_lstsq) > 0
+    assert not any(alive_at_lstsq)
+
+
 def test_import_loads_no_process_modules():
     out = run_python("import sys, tnbs; print([m for m in sys.modules "
                      "if m.split('.')[0] in ('subprocess', 'multiprocessing')])")
