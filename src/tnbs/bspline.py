@@ -1,25 +1,73 @@
 """Uniform B-spline bases on the unit interval.
 
-A basis of degree ``rho`` on the knot sequence t_0 <= ... <= t_m has
+A basis of degree ``rho`` on the knot sequence t_0 < ... < t_m has
 k = m - rho member functions. Knots are placed uniformly so that the natural
 domain [t_rho, t_{m-rho}] — where the basis sums to one — is exactly [0, 1].
-Evaluation uses the Cox-de Boor recursion.
+Evaluation uses the Cox-de Boor recursion on tables that ``BasisConfig``
+builds once from its knots: indicator bounds with the last natural interval
+closed, and per degree step the knot and span slices. A config accepts only
+finite, strictly increasing knots, so no span is zero and the recursion needs
+no zero-span guards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass(frozen=True, eq=False)
 class BasisConfig:
-    """Degree, knot sequence t_0..t_m and derived basis size k = m - degree."""
+    """Degree, knot sequence t_0..t_m and derived basis size k = m - degree.
+
+    The knots must be m + 1 finite, strictly increasing values with
+    t_degree = 0 and t_{m-degree} = 1, the domain the evaluator clips to. The
+    evaluation tables are derived from them on construction: ``lo``/``hi``
+    bound the degree-0 indicators, and ``steps`` holds, per degree q, the
+    slices (t_j, t_{j+q} - t_j, t_{j+q+1}, t_{j+q+1} - t_{j+1}) that the
+    Cox-de Boor step q uses.
+    """
 
     degree: int
     knot_param: int
     knots: np.ndarray
+    lo: np.ndarray = field(init=False, repr=False)
+    hi: np.ndarray = field(init=False, repr=False)
+    steps: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        t = np.asarray(self.knots, dtype=float)
+        m, rho = self.knot_param, self.degree
+        if not 0 <= rho < m - rho:
+            raise ValueError(f"degree {rho} needs a knot parameter above {2 * rho}, got {m}")
+        if t.shape != (m + 1,):
+            raise ValueError(f"need {m + 1} knots for knot parameter {m}, got shape {t.shape}")
+        bad = np.flatnonzero(~np.isfinite(t))
+        if bad.size:
+            raise ValueError(f"knot {bad[0]} is not finite: {t[bad[0]]:g}")
+        bad = np.flatnonzero(np.diff(t) <= 0)
+        if bad.size:
+            j = bad[0] + 1
+            raise ValueError(f"knots must be strictly increasing: knot {j} ({t[j]:g}) "
+                             f"does not exceed knot {j - 1} ({t[j - 1]:g})")
+        if t[rho] != 0.0 or t[m - rho] != 1.0:
+            raise ValueError(f"knots {rho} and {m - rho} must bound the natural domain "
+                             f"[0, 1], got [{t[rho]:g}, {t[m - rho]:g}]")
+        # The natural domain ends at t_{m-rho} = 1: its last interval is
+        # closed on the right and no interval starts at or beyond it, so x = 1
+        # falls in interval m - rho - 1 alone (the left limit).
+        lo, hi = t[:-1].copy(), t[1:].copy()
+        lo[m - rho:] = np.inf
+        hi[m - rho - 1] = np.inf
+        steps = []
+        for q in range(1, rho + 1):
+            span = t[q:] - t[:-q]
+            steps.append((t[: m - q], span[: m - q], t[q + 1:], span[1: m + 1 - q]))
+        object.__setattr__(self, "knots", t)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "steps", tuple(steps))
 
     @property
     def basis_count(self) -> int:
@@ -71,23 +119,10 @@ def basis_rows(cfg: BasisConfig, xs) -> np.ndarray:
     k = cfg.basis_count
     if xs.size == 0:
         return np.zeros((0, k))
-    t = cfg.knots
-    m = cfg.knot_param
-    rho = cfg.degree
-    x = np.clip(xs, 0.0, 1.0)
-
-    b = ((t[:-1] <= x[:, None]) & (x[:, None] < t[1:])).astype(float)
-    at_end = x == 1.0
-    if np.any(at_end):
-        b[at_end] = 0.0
-        b[at_end, m - rho - 1] = 1.0
-
-    for q in range(1, rho + 1):
-        span = t[q:] - t[:-q]  # t_{j+q} - t_j; positive for uniform knots
-        with np.errstate(divide="ignore", invalid="ignore"):
-            left = np.where(span[: m - q] > 0, (x[:, None] - t[: m - q]) / span[: m - q], 0.0)
-            right = np.where(span[1 : m + 1 - q] > 0, (t[q + 1 :] - x[:, None]) / span[1 : m + 1 - q], 0.0)
-        b = left * b[:, :-1] + right * b[:, 1:]
+    x = np.clip(xs, 0.0, 1.0)[:, None]
+    b = ((cfg.lo <= x) & (x < cfg.hi)).astype(float)
+    for t_left, span_left, t_right, span_right in cfg.steps:
+        b = (x - t_left) / span_left * b[:, :-1] + (t_right - x) / span_right * b[:, 1:]
     return b
 
 

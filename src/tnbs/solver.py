@@ -15,7 +15,10 @@ penalty Grams ``_gram_left``/``_gram_right``. The sweep carries both folds and
 both Grams and refolds them at each QR shift (``tensor._qr_shift``), so every
 chain product is computed once per sweep. ``_solve_core`` solves (an LU solve
 of the normal equations, escalating to the minimal-norm least squares on the
-design stacked over a square root of the penalty matrix). The public
+design stacked over a square root of the penalty matrix). The design rows are
+built with the sample index innermost, so every product broadcasts over the n
+samples, and come out in Fortran order; ``_solve_core`` takes every design in
+that order, so the fit and ``update_core`` hand BLAS one layout. The public
 ``build_design_matrix``, ``build_penalty_matrix`` and ``update_core`` are thin
 views over these kernels, so the checks on them exercise the fit's own path.
 """
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bspline import BasisConfig, basis_rows, out_of_domain_count
+from .bspline import BasisConfig, _as_int, basis_rows, out_of_domain_count
 from .model import LagSpec, Scaling, TnbsModel, build_regressors, rmse, _as_signal
 from .tensor import (
     TensorTrain, orthogonalize_to_site, _fold_left, _fold_right, _normalize_rank_caps, _qr_shift,
@@ -61,6 +64,8 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("penalty_order", "max_sweeps", "seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.penalty_order < 0:
             raise ValueError("penalty order must be non-negative")
         if self.max_sweeps < 1:
@@ -130,13 +135,21 @@ def dense_penalty(w: np.ndarray, d_mat: np.ndarray, axis: int) -> float:
 
 
 def _kron_rows(right: np.ndarray, mid: np.ndarray, left: np.ndarray) -> np.ndarray:
-    # Row n is right_n (x) mid_n (x) left_n, matching the column-major
-    # vectorization of a core (left index fastest). The product order
-    # (right * mid) * left is the einsum's, which the tests hold bitwise.
-    n, a = left.shape
+    """Design rows: row n is right_n (x) mid_n (x) left_n.
+
+    The column order matches the column-major vectorization of a core (left
+    index fastest), and the product order (right * mid) * left is the
+    einsum's, which the tests hold bitwise. The products are formed on
+    contiguous (factor, sample) copies with the sample index innermost, so
+    each broadcast runs over n samples rather than over the r or k entries of
+    one factor; the (n, C) result is the transpose view of the (C, n) array,
+    and so Fortran-ordered.
+    """
+    n = left.shape[0]
     cols = right.shape[1] * mid.shape[1]
-    rm = (right[:, :, None] * mid[:, None, :]).reshape(n, cols)
-    return (rm[:, :, None] * left[:, None, :]).reshape(n, cols * a)
+    rt, mt, lt = (np.ascontiguousarray(f.T) for f in (right, mid, left))
+    rm = (rt[:, None, :] * mt[None, :, :]).reshape(cols, n)
+    return (rm[:, None, :] * lt[None, :, :]).reshape(cols * left.shape[1], n).T
 
 
 def build_design_matrix(tt: TensorTrain, basis_mats, p: int) -> np.ndarray:
@@ -317,8 +330,12 @@ def _solve_core(design, targets, penalize, root_blocks, penalty_value=None, boun
     built: where nothing else holds A (the sweep builds it in ``design``),
     the stacked route peaks at two copies of the stack, not two plus A and
     A'A.
+
+    A is taken in Fortran order, which the sweep's design rows already have,
+    so the sweep and ``update_core`` hand BLAS the same layout and a design's
+    memory order cannot change the numbers or the route.
     """
-    a_mat = design()
+    a_mat = np.asfortranarray(design())
     if not np.isfinite(a_mat).all() or not np.isfinite(targets).all():
         raise NumericalError("non-finite values in the least-squares subproblem")
     h = a_mat.T @ a_mat

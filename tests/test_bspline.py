@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tnbs import basis_rows, eval_basis, make_basis, out_of_domain_count
+from tnbs.bspline import BasisConfig
 
 CONFIGS = [(1, 4), (2, 6), (3, 7)]
 
@@ -19,6 +20,28 @@ def cox_de_boor(knots, j, degree, x):
     if den != 0.0:
         right = (knots[j + degree + 1] - x) / den * cox_de_boor(knots, j + 1, degree - 1, x)
     return left + right
+
+
+def guarded_basis_rows(cfg, xs):
+    """Vectorized Cox-de Boor with zero-span guards and an explicit end fix-up.
+
+    The evaluator before the knot tables; ``basis_rows`` must equal it bitwise.
+    """
+    t, m, rho = cfg.knots, cfg.knot_param, cfg.degree
+    x = np.clip(np.asarray(xs, dtype=float), 0.0, 1.0)
+    b = ((t[:-1] <= x[:, None]) & (x[:, None] < t[1:])).astype(float)
+    at_end = x == 1.0
+    if np.any(at_end):
+        b[at_end] = 0.0
+        b[at_end, m - rho - 1] = 1.0
+    for q in range(1, rho + 1):
+        span = t[q:] - t[:-q]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            left = np.where(span[: m - q] > 0, (x[:, None] - t[: m - q]) / span[: m - q], 0.0)
+            right = np.where(span[1 : m + 1 - q] > 0,
+                             (t[q + 1 :] - x[:, None]) / span[1 : m + 1 - q], 0.0)
+        b = left * b[:, :-1] + right * b[:, 1:]
+    return b
 
 
 class TestMakeBasis:
@@ -145,3 +168,57 @@ def test_continuity_at_knots(rho, m):
 def test_out_of_domain_count():
     assert out_of_domain_count(np.array([-0.1, 0.0, 0.5, 1.0, 1.2])) == 2
     assert out_of_domain_count(np.array([0.2, 0.8])) == 0
+
+
+@pytest.mark.parametrize("rho,m", [(0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (3, 7), (3, 12)])
+def test_rows_bitwise_equal_guarded_oracle(rho, m):
+    cfg = make_basis(rho, m)
+    rng = np.random.default_rng(45)
+    xs = np.concatenate([
+        rng.random(2000), cfg.knots, [0.0, 1.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)],
+        [-0.25, -1e9, 1.25, 1e9],  # clipped
+    ])
+    rows = basis_rows(cfg, xs)
+    ref = guarded_basis_rows(cfg, xs)
+    assert rows.shape == ref.shape
+    assert rows.tobytes() == ref.tobytes()
+
+
+class TestBasisConfigKnots:
+    def test_repeated_knot_rejected(self):
+        knots = np.array([-1.0, 0.0, 0.5, 0.5, 1.0, 2.0])
+        with pytest.raises(ValueError, match="knot 3"):
+            BasisConfig(degree=1, knot_param=5, knots=knots)
+
+    def test_decreasing_knot_rejected(self):
+        with pytest.raises(ValueError, match="knot 2"):
+            BasisConfig(degree=0, knot_param=3, knots=np.array([0.0, 0.6, 0.4, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_knot_rejected(self, bad):
+        knots = np.array([0.0, 0.5, 1.0])
+        knots[1] = bad
+        with pytest.raises(ValueError, match="knot 1"):
+            BasisConfig(degree=0, knot_param=2, knots=knots)
+
+    def test_wrong_knot_count_rejected(self):
+        with pytest.raises(ValueError, match="need 4 knots"):
+            BasisConfig(degree=0, knot_param=3, knots=np.array([0.0, 0.5, 1.0]))
+
+    def test_natural_domain_must_be_unit_interval(self):
+        with pytest.raises(ValueError, match=r"knots 0 and 2"):
+            BasisConfig(degree=0, knot_param=2, knots=np.array([0.0, 2.0, 4.0]))
+        with pytest.raises(ValueError, match=r"knots 1 and 3"):
+            BasisConfig(degree=1, knot_param=4, knots=np.array([-1.0, 0.1, 0.5, 1.0, 2.0]))
+
+    def test_degree_must_fit_knot_param(self):
+        with pytest.raises(ValueError, match="degree 2"):
+            BasisConfig(degree=2, knot_param=4, knots=np.linspace(-1.0, 2.0, 5))
+        with pytest.raises(ValueError, match="degree -1"):
+            BasisConfig(degree=-1, knot_param=2, knots=np.array([0.0, 0.5, 1.0]))
+
+    def test_hand_built_equals_make_basis(self):
+        cfg = make_basis(2, 6)
+        hand = BasisConfig(degree=2, knot_param=6, knots=list(cfg.knots))
+        xs = np.linspace(-0.1, 1.1, 61)
+        assert np.array_equal(basis_rows(hand, xs), basis_rows(cfg, xs))

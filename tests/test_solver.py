@@ -256,6 +256,30 @@ class TestUpdateCore:
         assert abs(g[3]) < 1e-10
         assert np.allclose(g, ref, atol=1e-8)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_memory_layout_does_not_change_the_core(self, monkeypatch, lam):
+        # The sweep's design rows are Fortran-ordered; a C-ordered copy of the
+        # same design must give the same core bitwise, by LU (lam > 0) and, with
+        # a dead column at lam = 0, by the stacked least squares.
+        stacked, lstsq = [], np.linalg.lstsq
+
+        def counting_lstsq(*args, **kwargs):
+            stacked.append(True)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((300, 24))
+        if lam == 0.0:
+            a[:, 5] = 0.0
+        y = rng.standard_normal(300)
+        d1 = difference_matrix(6, 1)
+        om = [np.kron(np.eye(4), d1.T @ d1)]
+        g_c = update_core(np.ascontiguousarray(a), y, om, [lam])
+        g_f = update_core(np.asfortranarray(a), y, om, [lam])
+        assert g_c.tobytes() == g_f.tobytes()
+        assert len(stacked) == (2 if lam == 0.0 else 0)
+
     def test_non_finite_rejected(self):
         a = np.full((4, 2), np.nan)
         with pytest.raises(NumericalError):
@@ -452,6 +476,16 @@ class TestFitConfig:
         for lam in (np.nan, np.inf, (0.1, np.nan, 0.2), (0.1, 0.2, np.inf)):
             with pytest.raises(ValueError):
                 FitConfig(lambdas=lam).resolved_lambdas(3)
+        for field_name, value in (("max_sweeps", 2.5), ("max_sweeps", np.nan),
+                                  ("max_sweeps", np.inf), ("penalty_order", 1.5),
+                                  ("seed", 0.5), ("seed", "0")):
+            with pytest.raises(ValueError, match=field_name):
+                FitConfig(**{field_name: value})
+
+    def test_integral_values_become_ints(self):
+        cfg = FitConfig(max_sweeps=3.0, penalty_order=np.int64(2), seed=np.float64(7))
+        assert (cfg.max_sweeps, cfg.penalty_order, cfg.seed) == (3, 2, 7)
+        assert all(type(v) is int for v in (cfg.max_sweeps, cfg.penalty_order, cfg.seed))
 
 
 class TestCrossValidation:
