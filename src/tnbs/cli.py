@@ -233,7 +233,8 @@ def _add_model_flags(p, with_lambda: bool) -> None:
     p.add_argument("--knots", type=int, default=6,
                    help="knot parameter m (the sequence has m+1 knots)")
     p.add_argument("--ranks", type=_int_list, default=[4],
-                   help="interior train ranks: scalar or comma list")
+                   help="interior train ranks: scalar or comma list; a rank above "
+                        "its unfolding bound is fitted at the bound, stored zero-padded")
     p.add_argument("--lags-u", type=_int_list, default=[1], help="input lags, comma list")
     p.add_argument("--lags-y", type=_int_list, default=[1], help="output lags, comma list")
     p.add_argument("--alpha", type=int, default=1, help="difference penalty order")

@@ -50,10 +50,12 @@ class FitConfig:
     """Hyperparameters of one ALS fit.
 
     ``ranks`` are the interior train ranks (a scalar broadcasts to every
-    bond); ``lambdas`` weight the difference penalty per dimension (a scalar
-    broadcasts). ``penalty_order`` is the difference order: 0 is plain ridge,
-    1 penalizes adjacent-weight jumps, 2 curvature. ``epsilon`` stops the
-    sweeps once the first-core objective stalls; ``max_sweeps`` is the hard cap.
+    bond; one above its unfolding bound min(k^p, k^(d-p)) is swept at the
+    bound and returned zero-padded). ``lambdas`` weight the difference
+    penalty per dimension (a scalar broadcasts). ``penalty_order`` is the
+    difference order: 0 is plain ridge, 1 penalizes adjacent-weight jumps, 2
+    curvature. ``epsilon`` stops the sweeps once the first-core objective
+    stalls; ``max_sweeps`` is the hard cap.
     """
 
     ranks: int | tuple[int, ...] = 4
@@ -397,8 +399,9 @@ def als_fit(u, y, lags: LagSpec, basis: BasisConfig, cfg: FitConfig,
     """Identify a TNBS-NARX model from signals by alternating core updates.
 
     Scaling defaults to min-max parameters fitted on the given (estimation)
-    data; pass ``Scaling.identity()`` for data already in [0, 1]. Returns the
-    fitted model and the sweep trace.
+    data; pass ``Scaling.identity()`` for data already in [0, 1]. Ranks the
+    unfoldings cannot carry are swept at their bound and the returned weights
+    zero-padded to them. Returns the fitted model and the sweep trace.
     """
     u = _as_signal(u, "u")
     y = _as_signal(y, "y")
@@ -493,7 +496,10 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
             trace.stopped_early = True
             break
 
-    weights = TensorTrain(tuple(cores), canonical_site=0)
+    # Bonds swept at their unfolding bound are zero-padded to the requested ranks.
+    pads = [((0, ranks[p] - c.shape[0]), (0, 0), (0, ranks[p + 1] - c.shape[2]))
+            for p, c in enumerate(cores)]
+    weights = TensorTrain(tuple(map(np.pad, cores, pads)), canonical_site=0)
     model = TnbsModel(basis=basis, lags=lags, weights=weights, scaling=scaling)
     return model, trace
 

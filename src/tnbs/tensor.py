@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bspline import _as_int
+
 # Dense reconstruction is an oracle/debug path; anything larger than this
 # defeats the purpose of the train format.
 DENSE_CAP = 10_000_000
@@ -124,9 +126,9 @@ def _normalize_rank_caps(max_ranks, d: int):
     if max_ranks is None:
         return None
     if np.isscalar(max_ranks):
-        caps = [int(max_ranks)] * (d - 1)
+        caps = [_as_int(max_ranks, "rank")] * (d - 1)
     else:
-        caps = [int(r) for r in max_ranks]
+        caps = [_as_int(r, "rank") for r in max_ranks]
         if len(caps) != d - 1:
             raise ValueError(
                 f"rank vector must list the {d - 1} interior ranks, got {len(caps)}"
@@ -172,23 +174,10 @@ def tt_svd(a: np.ndarray, max_ranks=None) -> TensorTrain:
 
 
 def _qr_fixed(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR with non-negative diagonal of R; factor shapes preserve m's width.
-
-    For a wide input (rows < cols) the reduced factors are zero-padded so Q is
-    (rows, cols) and R is (cols, cols). The pad columns of Q are zero: a wide
-    unfolding cannot be an isometry, and the padding keeps the nominal bond
-    size of the train intact while the dead directions carry exactly zero.
-    """
+    """Reduced QR with non-negative diagonal of R: Q has min(rows, cols) columns."""
     q, r = np.linalg.qr(m)
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    q = q * signs
-    r = signs[:, None] * r
-    rows, cols = m.shape
-    t = q.shape[1]
-    if t < cols:
-        q = np.hstack([q, np.zeros((rows, cols - t))])
-        r = np.vstack([r, np.zeros((cols - t, cols))])
-    return q, r
+    return q * signs, signs[:, None] * r
 
 
 def _qr_shift(cores: list, p: int, step: int) -> None:
@@ -196,21 +185,24 @@ def _qr_shift(cores: list, p: int, step: int) -> None:
 
     One QR step: core p becomes left-orthogonal (step 1) or right-orthogonal
     (step -1), and the triangular factor is absorbed into the neighbour, so
-    the represented tensor is unchanged.
+    the represented tensor is unchanged. The bond takes Q's width, so a bond
+    wider than core p's unfolding (r1 k for step 1, k r2 for step -1) shrinks
+    to it and core p is an exact isometry.
     """
     r1, k, r2 = cores[p].shape
     if step > 0:
         q, r = _qr_fixed(cores[p].reshape(r1 * k, r2, order="F"))
-        cores[p] = q.reshape(r1, k, r2, order="F")
+        cores[p] = q.reshape(r1, k, -1, order="F")
         cores[p + 1] = np.tensordot(r, cores[p + 1], axes=(1, 0))
     else:
         q, r = _qr_fixed(cores[p].reshape(r1, k * r2, order="F").T)
-        cores[p] = q.T.reshape(r1, k, r2, order="F")
+        cores[p] = q.T.reshape(-1, k, r2, order="F")
         cores[p - 1] = np.tensordot(cores[p - 1], r.T, axes=(2, 0))
 
 
 def orthogonalize_to_site(tt: TensorTrain, site: int) -> TensorTrain:
-    """Return an equal train in mixed-canonical form at ``site``."""
+    """Return an equal train in mixed-canonical form at ``site``; a bond wider than its
+    unfolding shrinks to it, so every core but ``site`` is an exact isometry."""
     if not 0 <= site < tt.order:
         raise ValueError(f"site {site} out of range for order {tt.order}")
     cores = list(tt.cores)
@@ -222,7 +214,7 @@ def orthogonalize_to_site(tt: TensorTrain, site: int) -> TensorTrain:
 
 
 def shift_core(tt: TensorTrain, p: int, direction: str) -> TensorTrain:
-    """Move the canonical site from core p to a neighbour via one QR step."""
+    """Move the canonical site from core p to a neighbour via a QR step; over-wide bonds shrink."""
     if tt.canonical_site != p:
         raise ValueError(
             f"train is canonical at {tt.canonical_site}, cannot shift from core {p}"

@@ -112,11 +112,14 @@ class TestDesignMatrix:
 
     def test_watertank_shape_column_count(self):
         rng = np.random.default_rng(3)
-        tt = orthogonalize_to_site(random_tt(rng, 16, 4, (8,) * 15), 1)
+        # Bond 1 can carry only k = 4, so core 0 shrinks to (1, 4, 4); site 2
+        # is the first with both bonds at the requested rank 8.
+        tt = orthogonalize_to_site(random_tt(rng, 16, 4, (8,) * 15), 2)
         xs = rng.random((3, 16))
         basis = make_basis(3, 7)
         bmats = [basis_rows(basis, xs[:, q]) for q in range(16)]
-        a = build_design_matrix(tt, bmats, 1)
+        a = build_design_matrix(tt, bmats, 2)
+        assert tt.cores[0].shape == (1, 4, 4)
         assert a.shape == (3, 8 * 4 * 8)
 
     def test_canonical_site_required(self):
@@ -320,6 +323,29 @@ class TestAlsFit:
         g = model.weights.cores[1].reshape(model.weights.cores[1].shape[0], -1, order="F")
         assert np.allclose(g @ g.T, np.eye(g.shape[0]), atol=1e-10)
 
+    def test_over_ranked_fit_has_no_dead_design_columns(self, monkeypatch):
+        # The README layout asks for ranks 5 with k = 4, one more than the
+        # end bonds can carry. Those bonds are swept at 4, so no update has
+        # an identically zero design column; the model keeps ranks 5.
+        zero_cols = []
+        kron_rows = tnbs.solver._kron_rows
+
+        def recording_kron_rows(*args):
+            a_mat = kron_rows(*args)
+            zero_cols.append(int(np.count_nonzero(~a_mat.any(axis=0))))
+            return a_mat
+
+        monkeypatch.setattr(tnbs.solver, "_kron_rows", recording_kron_rows)
+        data = make_dataset(SynthSpec(seed=0), snr_db=20.0)
+        cfg = FitConfig(ranks=5, penalty_order=2, lambdas=1e-3, max_sweeps=2, seed=0)
+        model, trace = als_fit(data.u_est, data.y_est, LagSpec((1, 2, 3, 4), (1, 2, 3, 4)),
+                               make_basis(2, 6), cfg, scaling=Scaling.identity())
+        assert len(zero_cols) == len(trace.update_objectives) == 28
+        assert zero_cols == [0] * 28
+        assert model.weights.ranks == (1,) + (5,) * 7 + (1,)
+        assert [c.shape for c in model.weights.cores] == (
+            [(1, 4, 5)] + [(5, 4, 5)] * 6 + [(5, 4, 1)])
+
     def test_seeded_determinism_bitwise(self):
         data, spec, basis, cfg = small_problem(seed=2, lam=0.01)
         m1, t1 = als_fit(data.u_est, data.y_est, spec.lags, basis, cfg,
@@ -482,6 +508,11 @@ class TestFitConfig:
             with pytest.raises(ValueError, match=field_name):
                 FitConfig(**{field_name: value})
 
+    @pytest.mark.parametrize("ranks", [2.5, (2, 3.9), np.nan, np.inf, "2"])
+    def test_fractional_or_non_numeric_ranks_rejected(self, ranks):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            FitConfig(ranks=ranks).resolved_ranks(3)
+
     def test_integral_values_become_ints(self):
         cfg = FitConfig(max_sweeps=3.0, penalty_order=np.int64(2), seed=np.float64(7))
         assert (cfg.max_sweeps, cfg.penalty_order, cfg.seed) == (3, 2, 7)
@@ -565,7 +596,7 @@ THREAD_FIT = """
 import json
 from tnbs import FitConfig, LagSpec, Scaling, als_fit, make_basis
 from tnbs.synth import SynthSpec, make_dataset
-data = make_dataset(SynthSpec(seed=0), snr_db=20.0)
+data = make_dataset(SynthSpec(seed=1), snr_db=20.0)
 lags = LagSpec((1, 2, 3, 4), (1, 2, 3, 4))
 out = {}
 for lam in (1e-3, 0.0):
@@ -609,7 +640,7 @@ def test_stacked_solve_frees_the_design_rows(monkeypatch):
 
     monkeypatch.setattr(tnbs.solver, "_kron_rows", recording_kron_rows)
     monkeypatch.setattr(np.linalg, "lstsq", checking_lstsq)
-    data = make_dataset(SynthSpec(seed=0), snr_db=20.0)
+    data = make_dataset(SynthSpec(seed=1), snr_db=20.0)
     cfg = FitConfig(ranks=5, penalty_order=2, lambdas=0.0, max_sweeps=2, seed=0)
     _, trace = als_fit(data.u_est, data.y_est, LagSpec((1, 2, 3, 4), (1, 2, 3, 4)),
                        make_basis(2, 6), cfg, scaling=Scaling.identity())

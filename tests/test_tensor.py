@@ -147,6 +147,11 @@ class TestTtSvd:
         with pytest.raises(ValueError):
             tt_svd(np.zeros((3, 3, 3)), max_ranks=(2,))
 
+    @pytest.mark.parametrize("max_ranks", [1.7, (2, 2.5), np.nan, "2"])
+    def test_fractional_or_non_numeric_rank_rejected(self, max_ranks):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            tt_svd(np.ones((3, 3, 3)), max_ranks=max_ranks)
+
     def test_d1(self):
         tt = tt_svd(np.array([1.0, 2.0]))
         assert tt.canonical_site == 0
@@ -190,6 +195,24 @@ class TestOrthogonalize:
         for s in range(4):
             out = orthogonalize_to_site(tt, s)
             assert abs(np.linalg.norm(out.cores[s]) - full_norm) < 1e-12 * full_norm
+
+    def test_over_ranked_train_gets_exact_isometries(self):
+        # Ranks 5 exceed k = 3 at both bonds, so each QR step shrinks its bond
+        # to the unfolding's width and leaves an exact isometry.
+        rng = np.random.default_rng(22)
+        tt = random_tt(rng, (3, 3, 3), (5, 5))
+        ref = tt_to_full(tt)
+        for site in range(3):
+            out = orthogonalize_to_site(tt, site)
+            for p, core in enumerate(out.cores):
+                if p < site:
+                    g = left_unfold(core)
+                    assert np.allclose(g.T @ g, np.eye(g.shape[1]), rtol=0, atol=1e-12)
+                elif p > site:
+                    g = right_unfold(core)
+                    assert np.allclose(g @ g.T, np.eye(g.shape[0]), rtol=0, atol=1e-12)
+            assert rel_err(tt_to_full(out), ref) < 1e-12
+        assert orthogonalize_to_site(tt, 1).ranks == (1, 3, 3, 1)
 
     def test_site_out_of_range(self):
         tt = random_tt(np.random.default_rng(15), (3, 3), (2,))
