@@ -307,6 +307,10 @@ class TnbsModel:
             for p, core in enumerate(cores):
                 if not np.isfinite(core).all():
                     raise ValueError(f"core {p} holds non-finite values")
-            return cls(basis=basis, lags=lags, weights=TensorTrain(cores), scaling=scaling)
+            weights = TensorTrain(cores)
+            if doc["ranks"] != list(weights.ranks):
+                raise ValueError(
+                    f"ranks {doc['ranks']!r} do not match the cores' ranks {list(weights.ranks)}")
+            return cls(basis=basis, lags=lags, weights=weights, scaling=scaling)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed model document: {exc}") from None

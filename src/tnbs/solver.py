@@ -9,11 +9,12 @@ core via QR steps, which makes the local objective equal the global one and
 the iteration monotone.
 
 Each step has one implementation, run by the sweep: ``_kron_rows`` builds the
-design rows from the chain folds ``tensor._fold_left``/``_fold_right``, and
-``_add_penalties`` collapses the penalties onto the updated core from the
-penalty Grams ``_gram_left``/``_gram_right``. The sweep carries both folds and
-both Grams and refolds them at each QR shift (``tensor._qr_shift``), so every
-chain product is computed once per sweep. ``_solve_core`` solves (an LU solve
+design rows from the chain fold ``tensor._fold_left``, and ``_add_penalties``
+collapses the penalties onto the updated core from the penalty Gram
+``_gram_left``. Right-hand folds and Grams run the same kernels on the flipped
+cores (``tensor._flip``). The sweep carries both folds and both Grams and
+refolds them at each QR shift (``tensor._qr_shift``), so every chain product
+is computed once per sweep. ``_solve_core`` solves (an LU solve
 of the normal equations, escalating to the minimal-norm least squares on the
 design stacked over a square root of the penalty matrix). The design rows are
 built with the sample index innermost, so every product broadcasts over the n
@@ -37,7 +38,7 @@ import numpy as np
 from .bspline import BasisConfig, _as_int, basis_rows, out_of_domain_count
 from .model import LagSpec, Scaling, TnbsModel, build_regressors, rmse, _as_signal
 from .tensor import (
-    TensorTrain, orthogonalize_to_site, _fold_left, _fold_right, _normalize_rank_caps, _qr_shift,
+    TensorTrain, orthogonalize_to_site, _flip, _fold_left, _normalize_rank_caps, _qr_shift,
 )
 
 
@@ -76,6 +77,8 @@ class FitConfig:
             raise ValueError("stopping tolerance must be non-negative")
 
     def resolved_ranks(self, d: int) -> tuple[int, ...]:
+        if self.ranks is None:
+            raise ValueError("rank must be an integer, got None")
         return tuple(_normalize_rank_caps(self.ranks, d))
 
     def resolved_lambdas(self, d: int) -> tuple[float, ...]:
@@ -174,7 +177,7 @@ def build_design_matrix(tt: TensorTrain, basis_mats, p: int) -> np.ndarray:
         left = _fold_left(left, tt.cores[j], basis_mats[j])
     right = np.ones((n, 1))
     for j in range(tt.order - 1, p, -1):
-        right = _fold_right(tt.cores[j], basis_mats[j], right)
+        right = _fold_left(right, _flip(tt.cores[j]), basis_mats[j])
     return _kron_rows(right, basis_mats[p], left)
 
 
@@ -188,7 +191,7 @@ def _gram_left(acc, core, d_mat, lam):
 
     ``acc`` sums lambda_j times the chain Gram for every j < p, None while all
     those weights vanish; core p adds its own difference Gram when ``lam`` is
-    positive.
+    positive. On flipped cores it carries the right Gram (r_p square) instead.
     """
     if acc is not None:
         acc = np.einsum("ab,aic,bid->cd", acc, core, core)
@@ -199,55 +202,37 @@ def _gram_left(acc, core, d_mat, lam):
     return acc
 
 
-def _gram_right(core, d_mat, lam, acc):
-    """Mirror of ``_gram_left``: carry the right penalty Gram (r_p square) through core p."""
-    if acc is not None:
-        acc = np.einsum("aic,bid,cd->ab", core, core, acc)
-    if lam > 0.0:
-        mod = np.tensordot(d_mat, core, axes=(1, 1)).transpose(1, 0, 2)
-        gram = lam * np.einsum("aic,bic->ab", mod, mod)
-        acc = gram if acc is None else acc + gram
-    return acc
-
-
 def _accumulated_penalties(cores, d_mat, lambdas, p):
     """Weighted penalty Grams for all dimensions, collapsed onto core p.
 
     Returns (left, middle, right): ``left`` sums lambda_j times the chain
     Gram for j < p (an r_{p-1} square matrix, None if all weights vanish),
-    ``middle`` is lambda_p, and ``right`` mirrors ``left`` for j > p. The
-    sweep carries the same two Grams site by site instead.
+    ``middle`` is lambda_p, and ``right`` is the same sum for j > p taken
+    over the flipped cores (an r_p square matrix). The sweep carries the same
+    two Grams site by site instead.
     """
     left = None
     for q in range(p):
         left = _gram_left(left, cores[q], d_mat, lambdas[q])
     right = None
     for q in range(len(cores) - 1, p, -1):
-        right = _gram_right(cores[q], d_mat, lambdas[q], right)
+        right = _gram_left(right, _flip(cores[q]), d_mat, lambdas[q])
     return left, lambdas[p], right
 
 
 def _add_penalties(h, left, lam_mid, right, d_mat, shape):
     """Add the collapsed penalty quadratic forms onto the normal matrix.
 
-    Each term is a Kronecker product with identities on two of the three
-    factors, i.e. a block structure that can be written directly instead of
+    Each term is a Kronecker product with identities on two of the three core
+    axes, so it is added onto the matching diagonal view of the
+    (r_p, k, r_{p-1}, r_p, k, r_{p-1}) reshape of ``h`` instead of
     materializing the full matrix.
     """
-    r_prev, k, r_next = shape
-    if left is not None:
-        h4 = h.reshape(r_next * k, r_prev, r_next * k, r_prev)
-        idx = np.arange(r_next * k)
-        h4[idx, :, idx, :] += left
-    if lam_mid > 0.0:
-        mid = np.kron(lam_mid * (d_mat.T @ d_mat), np.eye(r_prev))
-        h4 = h.reshape(r_next, k * r_prev, r_next, k * r_prev)
-        idx = np.arange(r_next)
-        h4[idx, :, idx, :] += mid
-    if right is not None:
-        h4 = h.reshape(r_next, k * r_prev, r_next, k * r_prev)
-        idx = np.arange(k * r_prev)
-        h4[:, idx, :, idx] += right
+    mid = lam_mid * (d_mat.T @ d_mat) if lam_mid > 0.0 else None
+    for spec, term in zip(("ciacib->ciab", "ciacja->caij", "ciadia->iacd"), (left, mid, right)):
+        if term is not None:
+            view = np.einsum(spec, h.reshape(shape[::-1] * 2))
+            view += term
 
 
 def _penalty_value(g, left, lam_mid, right, d_mat, shape) -> float:
@@ -269,18 +254,20 @@ def _penalty_root_blocks(left, lam_mid, right, d_mat, shape):
     """Stackable matrices whose squared norms reproduce the penalties.
 
     The square roots are taken of the small chain Grams and kept in Kronecker
-    form. Roots of the full-size penalty matrix were measured less accurate:
-    on fits with a per-dimension lambda vector their stacked solves ended up
-    to 5% above the objective this form reaches.
+    form: each block is the root on its axis and identities on the other two.
+    Roots of the full-size penalty matrix were measured less accurate: on fits
+    with a per-dimension lambda vector their stacked solves ended up to 5%
+    above the objective this form reaches.
     """
-    r_prev, k, r_next = shape
+    roots = (None if left is None else _psd_sqrt(left),
+             np.sqrt(lam_mid) * d_mat if lam_mid > 0.0 else None,
+             None if right is None else _psd_sqrt(right))
     blocks = []
-    if left is not None:
-        blocks.append(np.kron(np.eye(r_next * k), _psd_sqrt(left)))
-    if lam_mid > 0.0:
-        blocks.append(np.sqrt(lam_mid) * np.kron(np.eye(r_next), np.kron(d_mat, np.eye(r_prev))))
-    if right is not None:
-        blocks.append(np.kron(_psd_sqrt(right), np.eye(k * r_prev)))
+    for axis, root in enumerate(roots):
+        if root is not None:
+            f = [np.eye(n) for n in shape]
+            f[axis] = root
+            blocks.append(np.kron(np.kron(f[2], f[1]), f[0]))
     return blocks
 
 
@@ -417,16 +404,11 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
     if d != lags.dimension:
         raise ValueError(f"regressors have {d} columns, lag structure needs {lags.dimension}")
     k = basis.basis_count
-    if cfg.penalty_order >= k:
-        raise ValueError(
-            f"penalty order {cfg.penalty_order} requires more than {cfg.penalty_order} "
-            f"basis functions, got {k}"
-        )
+    dmat = difference_matrix(k, cfg.penalty_order)
     if n < 1:
         raise ValueError("no training samples left after lagging")
     ranks = (1,) + cfg.resolved_ranks(d) + (1,)
     lambdas = cfg.resolved_lambdas(d)
-    dmat = difference_matrix(k, cfg.penalty_order)
 
     rng = np.random.default_rng(cfg.seed)
     cores = [
@@ -447,12 +429,11 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
     right[d - 1] = np.ones((n, 1))
 
     def refold(p, step):
-        if step > 0:
-            left[p + 1] = _fold_left(left[p], cores[p], basis_mats[p])
-            lgram[p + 1] = _gram_left(lgram[p], cores[p], dmat, lambdas[p])
-        else:
-            right[p - 1] = _fold_right(cores[p], basis_mats[p], right[p])
-            rgram[p - 1] = _gram_right(cores[p], dmat, lambdas[p], rgram[p])
+        # A right-hand refold is the left-hand one on the flipped core.
+        core, folds, grams = ((cores[p], left, lgram) if step > 0
+                              else (_flip(cores[p]), right, rgram))
+        folds[p + step] = _fold_left(folds[p], core, basis_mats[p])
+        grams[p + step] = _gram_left(grams[p], core, dmat, lambdas[p])
 
     for p in range(d - 1, 0, -1):
         refold(p, -1)
@@ -523,6 +504,7 @@ def cross_validate_lambda(u, y, lags, basis, cfg, lambda_grid, folds: int,
     grid = [float(l) for l in lambda_grid]
     if not grid:
         raise ValueError("the lambda grid is empty")
+    folds = _as_int(folds, "folds")
     if folds < 2:
         raise ValueError("cross-validation needs at least 2 folds")
     cfgs = _grid_configs(cfg, grid, lags.dimension, basis.basis_count)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import make_basis
+from .bspline import _as_int, make_basis
 from .model import LagSpec, Scaling, TnbsModel
 from .tensor import DENSE_CAP, TensorTrain, tt_svd
 
@@ -34,6 +34,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_samples", "smoothing_window", "seed"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.smoothing_window < 1 or self.smoothing_window % 2 == 0:
             raise ValueError("smoothing window must be odd and at least 1")
         if self.n_samples < 1:
@@ -75,6 +77,8 @@ def generate_input(n: int, window: int = 5, seed=0) -> np.ndarray:
     smoothed signal is clipped back onto [0, 1]. ``window=1`` leaves the
     sequence unsmoothed.
     """
+    n = _as_int(n, "signal length")
+    window = _as_int(window, "window")
     if window < 1 or window % 2 == 0:
         raise ValueError("window must be odd and at least 1")
     if n < window:

@@ -111,15 +111,10 @@ def _fold_left(v: np.ndarray, core: np.ndarray, bmat: np.ndarray) -> np.ndarray:
     return kr @ core.reshape(a * bmat.shape[1], -1)
 
 
-def _fold_right(core: np.ndarray, bmat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Mirror of ``_fold_left``: carry right chain products (n, r_p) through core p.
-
-    One matmul over Khatri–Rao rows bmat_n (x) v_n against the (r_{p-1}, k r_p)
-    view of the core.
-    """
-    n, c = v.shape
-    kr = (bmat[:, :, None] * v[:, None, :]).reshape(n, bmat.shape[1] * c)
-    return kr @ core.reshape(core.shape[0], -1).T
+def _flip(core: np.ndarray) -> np.ndarray:
+    """Core p as read from the far end of the train, (r_p, k_p, r_{p-1}): right-hand
+    chain products are the left-hand ones on the flipped cores."""
+    return np.ascontiguousarray(core.transpose(2, 1, 0))
 
 
 def _normalize_rank_caps(max_ranks, d: int):

@@ -331,9 +331,12 @@ class TestSerialization:
         lambda doc: doc.update(input_lags=[0, 1.6]),
         lambda doc: doc.update(degree=2.9),
         lambda doc: doc.update(knot_param=6.5),
+        lambda doc: doc.update(ranks=[1, 99, 99, 1]),
+        lambda doc: doc.update(ranks="garbage"),
     ], ids=["nan-core", "inf-core", "neg-inf-core", "inf-scaling", "nan-scaling",
             "value-count", "rank-mismatch", "knot-param", "output-lag-0",
-            "fractional-lag", "fractional-degree", "fractional-knot-param"])
+            "fractional-lag", "fractional-degree", "fractional-knot-param",
+            "stated-ranks-mismatch", "stated-ranks-garbage"])
     def test_invalid_document_names_the_file(self, tmp_path, corrupt):
         model = random_model(np.random.default_rng(7), 3, (2, 2), LagSpec((0, 1), (1,)))
         path = tmp_path / "model.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -30,7 +31,9 @@ from tnbs import (
 )
 from tnbs.bspline import basis_rows
 from tnbs.model import TnbsModel, build_regressors
-from tnbs.solver import _accumulated_penalties, _add_penalties, _kron_rows, _penalty_value
+from tnbs.solver import (
+    _accumulated_penalties, _add_penalties, _kron_rows, _penalty_root_blocks, _penalty_value,
+)
 from tnbs.synth import SynthSpec, make_dataset
 
 
@@ -191,6 +194,31 @@ class TestPenaltyMatrix:
             per_dim = sum(lams[j] * (g @ build_penalty_matrix(ttp, dmat, p, j) @ g)
                           for j in range(4))
             assert abs(value - per_dim) <= 1e-10 * value
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    @pytest.mark.parametrize("shape", [(1, 4, 5), (5, 4, 1), (4, 4, 8), (8, 4, 8)])
+    def test_root_blocks_reproduce_the_matrix(self, shape, alpha):
+        # The stacked route solves with the Kronecker root blocks and the LU
+        # route with the matrix _add_penalties writes; on every subset of the
+        # three axis terms both must be the same penalty.
+        r_prev, k, r_next = shape
+        rng = np.random.default_rng(sum(shape) + alpha)
+        dmat = difference_matrix(k, alpha)
+        a, b = rng.standard_normal((r_prev, r_prev)), rng.standard_normal((r_next, r_next))
+        terms = (a @ a.T, 0.7, b @ b.T)
+        refs = (np.kron(np.eye(r_next * k), terms[0]),
+                np.kron(np.eye(r_next), np.kron(terms[1] * (dmat.T @ dmat), np.eye(r_prev))),
+                np.kron(terms[2], np.eye(k * r_prev)))
+        for use in itertools.product([False, True], repeat=3):
+            if not any(use):
+                continue
+            left, lam, right = (t if u else z for t, u, z in zip(terms, use, (None, 0.0, None)))
+            ref = sum(r for r, u in zip(refs, use) if u)
+            pen = np.zeros(ref.shape)
+            _add_penalties(pen, left, lam, right, dmat, shape)
+            assert np.array_equal(pen, ref), use
+            roots = sum(blk.T @ blk for blk in _penalty_root_blocks(left, lam, right, dmat, shape))
+            assert np.abs(roots - ref).max() <= 1e-12 * np.abs(ref).max(), use
 
     def test_requires_canonical_site(self):
         rng = np.random.default_rng(8)
@@ -508,7 +536,7 @@ class TestFitConfig:
             with pytest.raises(ValueError, match=field_name):
                 FitConfig(**{field_name: value})
 
-    @pytest.mark.parametrize("ranks", [2.5, (2, 3.9), np.nan, np.inf, "2"])
+    @pytest.mark.parametrize("ranks", [2.5, (2, 3.9), np.nan, np.inf, "2", None])
     def test_fractional_or_non_numeric_ranks_rejected(self, ranks):
         with pytest.raises(ValueError, match="rank must be an integer"):
             FitConfig(ranks=ranks).resolved_ranks(3)
@@ -558,14 +586,16 @@ class TestCrossValidation:
             cross_validate_lambda(data.u_est[:20], data.y_est[:20], spec.lags,
                                   basis, cfg, [0.1], 50, scaling=Scaling.identity())
 
-    @pytest.mark.parametrize("change,grid,match", [
-        ({}, [0.1, -1.0], r"-1\.0 at position 1"),
-        ({}, [0.1, np.nan], r"nan at position 1"),
-        ({}, [np.inf, 0.1], r"inf at position 0"),
-        ({"penalty_order": 6}, [0.1], r"difference order 6"),
-        ({"ranks": (2, 2, 2)}, [0.1], r"interior ranks"),
-    ], ids=["negative", "nan", "inf", "penalty-order", "rank-vector"])
-    def test_bad_grid_or_config_fails_before_any_worker(self, monkeypatch, change, grid, match):
+    @pytest.mark.parametrize("change,grid,folds,match", [
+        ({}, [0.1, -1.0], 3, r"-1\.0 at position 1"),
+        ({}, [0.1, np.nan], 3, r"nan at position 1"),
+        ({}, [np.inf, 0.1], 3, r"inf at position 0"),
+        ({"penalty_order": 6}, [0.1], 3, r"difference order 6"),
+        ({"ranks": (2, 2, 2)}, [0.1], 3, r"interior ranks"),
+        ({}, [0.1], 2.5, r"folds must be an integer, got 2\.5"),
+    ], ids=["negative", "nan", "inf", "penalty-order", "rank-vector", "fractional-folds"])
+    def test_bad_grid_or_config_fails_before_any_worker(self, monkeypatch, change, grid, folds,
+                                                        match):
         def no_launch(*args, **kwargs):
             raise AssertionError("a worker was launched")
 
@@ -573,7 +603,7 @@ class TestCrossValidation:
         data, spec, basis, cfg = small_problem(seed=13)
         cfg = dataclasses.replace(cfg, **change)
         with pytest.raises(ValueError, match=match):
-            cross_validate_lambda(data.u_est, data.y_est, spec.lags, basis, cfg, grid, 3)
+            cross_validate_lambda(data.u_est, data.y_est, spec.lags, basis, cfg, grid, folds)
 
 
 def run_python(code, **env):

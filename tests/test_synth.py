@@ -69,6 +69,14 @@ class TestInputSignal:
             generate_input(100, window=4, seed=0)
         with pytest.raises(ValueError):
             generate_input(3, window=5, seed=0)
+        with pytest.raises(ValueError, match="window must be an integer"):
+            generate_input(100, window=3.5, seed=0)
+        with pytest.raises(ValueError, match="signal length must be an integer"):
+            generate_input(100.5, window=3, seed=0)
+
+    def test_integral_float_arguments_accepted(self):
+        assert np.array_equal(generate_input(100.0, window=3.0, seed=0),
+                              generate_input(100, window=3, seed=0))
 
 
 class TestOutputSignal:
@@ -154,6 +162,19 @@ class TestDataset:
     def test_window_must_be_odd(self):
         with pytest.raises(ValueError):
             SynthSpec(smoothing_window=2)
+
+    @pytest.mark.parametrize("field_name,value", [
+        ("n_samples", 2500.5), ("n_samples", np.nan), ("smoothing_window", 3.5),
+        ("smoothing_window", np.inf), ("seed", 0.5), ("seed", "0"),
+    ])
+    def test_fractional_or_non_numeric_integers_rejected(self, field_name, value):
+        with pytest.raises(ValueError, match=f"{field_name} must be an integer"):
+            SynthSpec(**{field_name: value})
+
+    def test_integral_values_become_ints(self):
+        spec = SynthSpec(n_samples=600.0, smoothing_window=np.float64(3), seed=np.int64(4))
+        assert (spec.n_samples, spec.smoothing_window, spec.seed) == (600, 3, 4)
+        assert all(type(v) is int for v in (spec.n_samples, spec.smoothing_window, spec.seed))
 
     @pytest.mark.parametrize("w_min,w_max", [(np.nan, 5.0), (-4.0, np.inf), (-np.inf, 5.0)])
     def test_non_finite_weight_levels_rejected(self, w_min, w_max):

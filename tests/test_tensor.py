@@ -10,7 +10,7 @@ from tnbs import (
     tt_to_full,
     vectorize,
 )
-from tnbs.tensor import _fold_left, _fold_right
+from tnbs.tensor import _flip, _fold_left
 
 
 def rel_err(a, b):
@@ -286,7 +286,7 @@ class TestFolds:
         rng, core, bmat = self.operands(n, shape)
         v = rng.standard_normal((n, shape[2]))
         expected = np.einsum("nac,nc->na", np.einsum("ni,aic->nac", bmat, core), v)
-        got = _fold_right(core, bmat, v)
+        got = _fold_left(v, _flip(core), bmat)
         assert got.shape == (n, shape[0])
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
