@@ -146,7 +146,6 @@ def cmd_fit(args) -> dict:
         "stopped_early": trace.stopped_early,
         "first_core_objectives": trace.first_core_objectives,
         "clipped_regressors": trace.clipped_regressors,
-        "fallback_solves": trace.fallback_solves,
     }
 
 

@@ -14,9 +14,8 @@ collapses the penalties onto the updated core from the penalty Gram
 ``_gram_left``. Right-hand folds and Grams run the same kernels on the flipped
 cores (``tensor._flip``). The sweep carries both folds and both Grams and
 refolds them at each QR shift (``tensor._qr_shift``), so every chain product
-is computed once per sweep. ``_solve_core`` solves (an LU solve
-of the normal equations, escalating to the minimal-norm least squares on the
-design stacked over a square root of the penalty matrix). The design rows are
+is computed once per sweep. ``_solve_core`` makes one LU solve of the normal
+equations with the ridge floor ``_RIDGE`` on their diagonal. The design rows are
 built with the sample index innermost, so every product broadcasts over the n
 samples, and come out in Fortran order; ``_solve_core`` takes every design in
 that order, so the fit and ``update_core`` hand BLAS one layout. The public
@@ -43,7 +42,16 @@ from .tensor import (
 
 
 class NumericalError(RuntimeError):
-    """Raised when a solve encounters non-finite values."""
+    """Raised when a solve encounters non-finite values or a singular system."""
+
+
+# Ridge floor on the diagonal of every core's normal matrix: tau in the term
+# tau * ||g||^2, a weight like the penalty weights and absolute on the
+# [0, 1]-scaled problem. It must clear the rounding of the normal matrix,
+# about eps * n ~ 4e-13 at the README's 1996 rows, or that rounding decides
+# unpenalized fits and their cores grow without limit (1e-14 lets a README fit
+# diverge); 1e-6 already biases exact recovery past criterion 4's 1e-3.
+_RIDGE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -97,14 +105,13 @@ class FitConfig:
 class SweepTrace:
     """Objective values and diagnostics recorded while fitting.
 
-    ``fallback_solves`` counts the core updates solved by the stacked least
-    squares instead of the normal equations.
+    Each objective counts the data misfit, the weighted penalties and the
+    ridge floor ``_RIDGE`` times the train's squared norm.
     """
 
     first_core_objectives: list[float] = field(default_factory=list)
     update_objectives: list[float] = field(default_factory=list)
     clipped_regressors: int = 0
-    fallback_solves: int = 0
     sweeps_run: int = 0
     stopped_early: bool = False
 
@@ -181,11 +188,6 @@ def build_design_matrix(tt: TensorTrain, basis_mats, p: int) -> np.ndarray:
     return _kron_rows(right, basis_mats[p], left)
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(m)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-
-
 def _gram_left(acc, core, d_mat, lam):
     """Carry the weighted left penalty Gram (r_{p-1} square) through core p.
 
@@ -250,27 +252,6 @@ def _penalty_value(g, left, lam_mid, right, d_mat, shape) -> float:
     return value
 
 
-def _penalty_root_blocks(left, lam_mid, right, d_mat, shape):
-    """Stackable matrices whose squared norms reproduce the penalties.
-
-    The square roots are taken of the small chain Grams and kept in Kronecker
-    form: each block is the root on its axis and identities on the other two.
-    Roots of the full-size penalty matrix were measured less accurate: on fits
-    with a per-dimension lambda vector their stacked solves ended up to 5%
-    above the objective this form reaches.
-    """
-    roots = (None if left is None else _psd_sqrt(left),
-             np.sqrt(lam_mid) * d_mat if lam_mid > 0.0 else None,
-             None if right is None else _psd_sqrt(right))
-    blocks = []
-    for axis, root in enumerate(roots):
-        if root is not None:
-            f = [np.eye(n) for n in shape]
-            f[axis] = root
-            blocks.append(np.kron(np.kron(f[2], f[1]), f[0]))
-    return blocks
-
-
 def build_penalty_matrix(tt: TensorTrain, d_mat: np.ndarray, p: int, j: int) -> np.ndarray:
     """Quadratic form on core p equal to the difference penalty along dimension j.
 
@@ -300,68 +281,49 @@ def build_penalty_matrix(tt: TensorTrain, d_mat: np.ndarray, p: int, j: int) -> 
     return om
 
 
-def _solve_core(design, targets, penalize, root_blocks, penalty_value=None, bound=None):
-    """Minimize ||targets - A g||^2 + ||R g||^2 for one vectorized core.
+def _solve_core(a_mat, targets, penalize, penalty_value=None):
+    """Minimize ||targets - A g||^2 + g'Pg + tau ||g||^2 for one vectorized core.
 
-    ``design()`` returns A, ``penalize(h)`` adds R'R to the normal matrix A'A
-    in place and ``root_blocks()`` lists the row blocks of R, a square root of
-    the penalty matrix (none for a zero penalty). The fast route solves the
-    normal equations with numpy's LU. The minimal-norm least squares on A
-    stacked over R, accurate where the normal equations lose digits, takes
-    over when that solve fails or is not finite, or when the objective
-    ||targets - A g||^2 + ``penalty_value(g)`` of its solution exceeds
-    ``bound``, which the sweep sets to the running objective plus the
-    rounding of its sum of squares. Returns (g, objective(g) or None, whether
-    the stacked route was taken).
-
-    The stack holds a copy of A and lstsq copies the stack once more, so the
-    normal matrix is dropped after the LU solve and A once the stack is
-    built: where nothing else holds A (the sweep builds it in ``design``),
-    the stacked route peaks at two copies of the stack, not two plus A and
-    A'A.
+    ``penalize(h)`` adds the penalty matrix P to the normal matrix A'A in
+    place, and the ridge floor tau = ``_RIDGE`` goes onto its diagonal, so
+    the one LU solve meets a positive definite system even where P vanishes
+    and A is rank deficient (lambda = 0, dead design columns). That is
+    Tikhonov regularization: where A'A + P is singular, the solution tends to
+    the minimal-norm minimizer as tau goes to 0. A failed or non-finite solve
+    raises ``NumericalError``; there is no second route. Returns
+    (g, objective(g)): the misfit plus ``penalty_value(g)`` plus
+    tau ||g||^2, or None without ``penalty_value``.
 
     A is taken in Fortran order, which the sweep's design rows already have,
     so the sweep and ``update_core`` hand BLAS the same layout and a design's
-    memory order cannot change the numbers or the route.
+    memory order cannot change the numbers.
     """
-    a_mat = np.asfortranarray(design())
+    a_mat = np.asfortranarray(a_mat)
     if not np.isfinite(a_mat).all() or not np.isfinite(targets).all():
         raise NumericalError("non-finite values in the least-squares subproblem")
     h = a_mat.T @ a_mat
     penalize(h)
+    h.flat[::len(h) + 1] += _RIDGE
     try:
         g = np.linalg.solve(h, a_mat.T @ targets)
-    except np.linalg.LinAlgError:
-        g = None
-    del h
-
-    def objective(rows, g):
-        if penalty_value is None:
-            return None
-        resid = targets - rows @ g
-        return float(resid @ resid) + penalty_value(g)
-
-    if g is not None and np.isfinite(g).all():
-        obj = objective(a_mat, g)
-        if bound is None or obj <= bound:
-            return g, obj, False
-    n = len(targets)
-    stacked = np.vstack([a_mat] + root_blocks())
-    del a_mat
-    rhs = np.concatenate([targets, np.zeros(stacked.shape[0] - n)])
-    g = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
-    return g, objective(stacked[:n], g), True
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"core solve failed: {exc}") from None
+    if not np.isfinite(g).all():
+        raise NumericalError("non-finite core solve")
+    if penalty_value is None:
+        return g, None
+    resid = targets - a_mat @ g
+    return g, float(resid @ resid) + penalty_value(g) + _RIDGE * float(g @ g)
 
 
 def update_core(a_mat, targets, penalty_mats, lambdas) -> np.ndarray:
     """Solve the penalized normal equations for one vectorized core.
 
     Minimizes ||targets - A g||^2 + sum_j lambda_j g' Omega_j g with the
-    fit's core solve: an LU solve of the normal equations, falling back to
-    the minimal-norm least squares on A stacked over a square root of the
-    penalty matrix only when LU meets an exactly singular pivot or returns
-    non-finite values. A system that is singular only in exact arithmetic
-    can pass LU and get another minimizer, not the minimal-norm one.
+    fit's core solve: one LU solve of the normal equations with the ridge
+    floor ``_RIDGE`` on their diagonal. On a system that is singular without
+    the floor this is close to the minimal-norm minimizer, the limit of the
+    floored solution as the floor vanishes.
     """
     a_mat = np.asarray(a_mat, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -371,14 +333,13 @@ def update_core(a_mat, targets, penalty_mats, lambdas) -> np.ndarray:
         )
     if len(penalty_mats) != len(lambdas):
         raise ValueError("one penalty weight per penalty matrix is required")
-    pen = None
-    for om, lam in zip(penalty_mats, lambdas):
-        if lam != 0.0:
-            term = lam * np.asarray(om, dtype=float)
-            pen = term if pen is None else pen + term
-    roots = (lambda: []) if pen is None else (lambda: [_psd_sqrt(pen)])
-    return _solve_core(lambda: a_mat, targets,
-                       lambda h: None if pen is None else np.add(h, pen, out=h), roots)[0]
+
+    def penalize(h):
+        for om, lam in zip(penalty_mats, lambdas):
+            if lam != 0.0:
+                h += lam * np.asarray(om, dtype=float)
+
+    return _solve_core(a_mat, targets, penalize)[0]
 
 
 def als_fit(u, y, lags: LagSpec, basis: BasisConfig, cfg: FitConfig,
@@ -441,17 +402,10 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
     def update(p):
         shape = cores[p].shape
         pens = lgram[p], lambdas[p], rgram[p]
-        # The exact minimizer cannot raise the objective, so a fast solve that
-        # does by more than the rounding of n squares is redone by the stacked
-        # least squares.
+        g, obj = _solve_core(_kron_rows(right[p], basis_mats[p], left[p]), targets,
+                             lambda h: _add_penalties(h, *pens, dmat, shape),
+                             lambda g: _penalty_value(g, *pens, dmat, shape))
         prev = trace.update_objectives[-1] if trace.update_objectives else None
-        bound = None if prev is None else prev * (1.0 + n * np.finfo(float).eps)
-        g, obj, used_stack = _solve_core(
-            lambda: _kron_rows(right[p], basis_mats[p], left[p]), targets,
-            lambda h: _add_penalties(h, *pens, dmat, shape),
-            lambda: _penalty_root_blocks(*pens, dmat, shape),
-            lambda g: _penalty_value(g, *pens, dmat, shape), bound)
-        trace.fallback_solves += used_stack
         if prev is not None and obj > prev:
             # Coordinate descent may always reject a non-improving step; the
             # current core already attains the previous objective.
@@ -586,7 +540,7 @@ def _run_cv_jobs(inputs, jobs):
         # cannot deadlock on a full pipe.
         for w, proc in enumerate(procs):
             try:
-                proc.stdin.write(pickle.dumps((*inputs, jobs[w::n_workers])))
+                proc.stdin.write(pickle.dumps((*inputs, jobs[w::n_workers], os.getpid())))
                 proc.stdin.close()
             except BrokenPipeError:
                 pass  # the worker is gone; its exit code is reported below
@@ -614,16 +568,21 @@ def _cv_worker():
     """Entry point of a cross-validation worker interpreter.
 
     Reads (rows, targets, blocks, lags, basis, per-grid configs, scaling,
-    jobs) pickled on stdin. For each (grid index, fold) job in turn it fits
-    on the other blocks and scores the held-out one, recording every warning.
-    Writes one (job, RMSE or exception, warnings) triple per job, up to and
-    including the first that fails, pickled on stdout.
+    jobs, caller pid) pickled on stdin. For each (grid index, fold) job in
+    turn it fits on the other blocks and scores the held-out one, recording
+    every warning. Writes one (job, RMSE or exception, warnings) triple per
+    job, up to and including the first that fails, pickled on stdout. It
+    exits without writing once the caller is no longer its parent, since a
+    caller killed by a signal cannot stop its workers itself.
     """
     out = sys.stdout.buffer
     sys.stdout = sys.stderr  # stray prints must not corrupt the result
-    x_rows, targets, blocks, lags, basis, cfgs, scaling, jobs = pickle.load(sys.stdin.buffer)
+    (x_rows, targets, blocks, lags, basis, cfgs, scaling, jobs,
+     caller) = pickle.load(sys.stdin.buffer)
     results = []
     for li, fi in jobs:
+        if os.getppid() != caller:
+            return
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:

@@ -2,8 +2,10 @@ import dataclasses
 import itertools
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -32,7 +34,7 @@ from tnbs import (
 from tnbs.bspline import basis_rows
 from tnbs.model import TnbsModel, build_regressors
 from tnbs.solver import (
-    _accumulated_penalties, _add_penalties, _kron_rows, _penalty_root_blocks, _penalty_value,
+    _RIDGE, _accumulated_penalties, _add_penalties, _kron_rows, _penalty_value,
 )
 from tnbs.synth import SynthSpec, make_dataset
 
@@ -198,9 +200,9 @@ class TestPenaltyMatrix:
     @pytest.mark.parametrize("alpha", [1, 2])
     @pytest.mark.parametrize("shape", [(1, 4, 5), (5, 4, 1), (4, 4, 8), (8, 4, 8)])
     def test_root_blocks_reproduce_the_matrix(self, shape, alpha):
-        # The stacked route solves with the Kronecker root blocks and the LU
-        # route with the matrix _add_penalties writes; on every subset of the
-        # three axis terms both must be the same penalty.
+        # The core solve adds the penalties through the diagonal views of
+        # _add_penalties; on every subset of the three axis terms they must
+        # write exactly the Kronecker-product matrix.
         r_prev, k, r_next = shape
         rng = np.random.default_rng(sum(shape) + alpha)
         dmat = difference_matrix(k, alpha)
@@ -217,8 +219,6 @@ class TestPenaltyMatrix:
             pen = np.zeros(ref.shape)
             _add_penalties(pen, left, lam, right, dmat, shape)
             assert np.array_equal(pen, ref), use
-            roots = sum(blk.T @ blk for blk in _penalty_root_blocks(left, lam, right, dmat, shape))
-            assert np.abs(roots - ref).max() <= 1e-12 * np.abs(ref).max(), use
 
     def test_requires_canonical_site(self):
         rng = np.random.default_rng(8)
@@ -268,9 +268,11 @@ class TestUpdateCore:
         assert np.allclose(g, ref, atol=1e-8)
 
     def test_penalized_singular_system_minimal_norm(self):
-        # A dead column that the penalty does not reach either leaves LU an
-        # exactly zero pivot; the stacked route must give the minimal-norm
-        # solution of [A; R] g = [y; 0] for any root R of the penalty.
+        # A dead column that the penalty does not reach either leaves the
+        # normal matrix an exactly zero pivot; with the ridge floor the solve
+        # must still succeed and land, up to the floor's tiny bias, on the
+        # minimal-norm solution of [A; R] g = [y; 0] for any root R of the
+        # penalty.
         rng = np.random.default_rng(13)
         a = rng.standard_normal((20, 5))
         a[:, 3] = 0.0
@@ -288,17 +290,10 @@ class TestUpdateCore:
         assert np.allclose(g, ref, atol=1e-8)
 
     @pytest.mark.parametrize("lam", [0.0, 0.1])
-    def test_memory_layout_does_not_change_the_core(self, monkeypatch, lam):
+    def test_memory_layout_does_not_change_the_core(self, lam):
         # The sweep's design rows are Fortran-ordered; a C-ordered copy of the
-        # same design must give the same core bitwise, by LU (lam > 0) and, with
-        # a dead column at lam = 0, by the stacked least squares.
-        stacked, lstsq = [], np.linalg.lstsq
-
-        def counting_lstsq(*args, **kwargs):
-            stacked.append(True)
-            return lstsq(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        # same design must give the same core bitwise, penalized (lam > 0) and,
+        # with a dead column that only the ridge floor reaches, at lam = 0.
         rng = np.random.default_rng(14)
         a = rng.standard_normal((300, 24))
         if lam == 0.0:
@@ -309,7 +304,6 @@ class TestUpdateCore:
         g_c = update_core(np.ascontiguousarray(a), y, om, [lam])
         g_f = update_core(np.asfortranarray(a), y, om, [lam])
         assert g_c.tobytes() == g_f.tobytes()
-        assert len(stacked) == (2 if lam == 0.0 else 0)
 
     def test_non_finite_rejected(self):
         a = np.full((4, 2), np.nan)
@@ -326,6 +320,28 @@ def small_problem(seed, n_samples=260, lam=0.0, alpha=1, sweeps=6, fit_seed=0,
                     seed=fit_seed, epsilon=epsilon)
     basis = make_basis(2, 6)
     return data, spec, basis, cfg
+
+
+README_LAMBDAS = (0.001, 0.0, 0.01, 0.0, 0.001, 0.0, 0.1, 0.0)
+
+
+@pytest.fixture(scope="module")
+def readme_fit():
+    """Fit the README layout (d=8, ranks 5, alpha=2, 16 sweeps) on seed 1, once per lambda."""
+    fits = {}
+
+    def fit(lam):
+        if lam not in fits:
+            data = make_dataset(SynthSpec(seed=1), snr_db=20.0)
+            lags = LagSpec((1, 2, 3, 4), (1, 2, 3, 4))
+            basis = make_basis(2, 6)
+            cfg = FitConfig(ranks=5, penalty_order=2, lambdas=lam, max_sweeps=16, seed=0)
+            model, trace = als_fit(data.u_est, data.y_est, lags, basis, cfg,
+                                   scaling=Scaling.identity())
+            fits[lam] = data, lags, basis, cfg, model, trace
+        return fits[lam]
+
+    return fit
 
 
 class TestAlsFit:
@@ -385,18 +401,15 @@ class TestAlsFit:
         for a, b in zip(m1.weights.cores, m2.weights.cores):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("lam", [(0.001, 0.0, 0.01, 0.0, 0.001, 0.0, 0.1, 0.0), 0.0])
-    def test_fit_is_monotone_on_all_rows(self, lam):
+    @pytest.mark.parametrize("lam", [README_LAMBDAS, 0.0])
+    def test_fit_is_monotone_on_all_rows(self, readme_fit, lam):
         # At README scale, with unpenalized dimensions in the lambda vector,
         # the recorded objective never rises and ends at the global objective
         # of the fitted model: data misfit plus every dimension's penalty on
-        # the dense tensor (4^8 entries).
-        data = make_dataset(SynthSpec(seed=1), snr_db=20.0)
-        lags = LagSpec((1, 2, 3, 4), (1, 2, 3, 4))
-        basis = make_basis(2, 6)
-        cfg = FitConfig(ranks=5, penalty_order=2, lambdas=lam, max_sweeps=16, seed=0)
-        model, trace = als_fit(data.u_est, data.y_est, lags, basis, cfg,
-                               scaling=Scaling.identity())
+        # the dense tensor (4^8 entries) plus the ridge floor on its norm.
+        # The floor keeps the unpenalized fits usable: their cores stay
+        # bounded and the model simulates as well as it predicts.
+        data, lags, basis, cfg, model, trace = readme_fit(lam)
         objs = trace.update_objectives
         assert all(b <= a for a, b in zip(objs, objs[1:]))
         resid = data.y_est[lags.start_index:] - model.predict(data.u_est, data.y_est)
@@ -405,10 +418,36 @@ class TestAlsFit:
         lams = cfg.resolved_lambdas(model.weights.order)
         ref = float(resid @ resid) + sum(
             lams[j] * dense_penalty(full, dmat, j) for j in range(model.weights.order)
-        )
-        # At lambda=0 the record (taken at site 1, before the last QR shift)
-        # and the shifted model differ by ~1e-11 relative.
+        ) + _RIDGE * float(np.sum(full * full))
         assert abs(objs[-1] - ref) <= 1e-9 * ref
+        assert max(float(np.sum(c * c)) for c in model.weights.cores) < 1e9
+        start = lags.start_index
+        assert rmse(data.y_test[start:], model.simulate(data.u_test, data.y_test[:start])) < 0.05
+
+    def test_site_views_match_dense_oracle(self, readme_fit):
+        # At every site of the fitted README-vector model, the public views
+        # (design matrix and per-dimension penalty matrices on the train made
+        # canonical there) give the objective of the dense tensor: misfit of
+        # the full 4^8 weight tensor plus every dimension's dense penalty.
+        data, lags, basis, cfg, model, _ = readme_fit(README_LAMBDAS)
+        x_rows, targets, _ = build_regressors(data.u_est, data.y_est, lags, Scaling.identity())
+        d = model.weights.order
+        bmats = [basis_rows(basis, x_rows[:, q]) for q in range(d)]
+        dmat = difference_matrix(basis.basis_count, 2)
+        lams = cfg.resolved_lambdas(d)
+        full = tt_to_full(model.weights)
+        half = [np.einsum("na,nb,nc,nd->nabcd", *bmats[h:h + 4]).reshape(len(targets), -1)
+                for h in (0, 4)]
+        dense_out = np.einsum("na,ab,nb->n", half[0], full.reshape(half[0].shape[1], -1), half[1])
+        resid = targets - dense_out
+        ref = float(resid @ resid) + sum(lams[j] * dense_penalty(full, dmat, j) for j in range(d))
+        for p in range(d):
+            tt = orthogonalize_to_site(model.weights, p)
+            g = tt.cores[p].reshape(-1, order="F")
+            resid = targets - build_design_matrix(tt, bmats, p) @ g
+            pen = sum(lams[j] * build_penalty_matrix(tt, dmat, p, j) for j in range(d))
+            view = float(resid @ resid) + float(g @ pen @ g)
+            assert abs(view - ref) <= 1e-8 * ref, p
 
     def test_stopping_criterion_honored(self):
         data, spec, basis, cfg = small_problem(seed=5, lam=0.0, sweeps=12,
@@ -450,7 +489,8 @@ class TestAlsFit:
     @pytest.mark.parametrize("alpha", [1, 2])
     def test_final_objective_matches_dense_oracle(self, lam, alpha):
         # The objective the sweep records is the global one: data misfit of
-        # the fitted model plus every dimension's penalty on the dense tensor.
+        # the fitted model plus every dimension's penalty on the dense tensor
+        # plus the ridge floor on its squared norm.
         data, spec, basis, cfg = small_problem(seed=14, lam=lam, alpha=alpha)
         model, trace = als_fit(data.u_est, data.y_est, spec.lags, basis, cfg,
                                scaling=Scaling.identity())
@@ -460,7 +500,7 @@ class TestAlsFit:
         lams = cfg.resolved_lambdas(3)
         ref = float(resid @ resid) + sum(
             lams[j] * dense_penalty(full, dmat, j) for j in range(3)
-        )
+        ) + _RIDGE * float(np.sum(full * full))
         assert abs(trace.update_objectives[-1] - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("seed", [14, 3, 5])
@@ -633,49 +673,19 @@ for lam in (1e-3, 0.0):
     cfg = FitConfig(ranks=5, penalty_order=2, lambdas=lam, max_sweeps=2, seed=0)
     _, trace = als_fit(data.u_est, data.y_est, lags, make_basis(2, 6), cfg,
                        scaling=Scaling.identity())
-    out[repr(lam)] = [trace.fallback_solves, trace.update_objectives[-1]]
+    out[repr(lam)] = trace.update_objectives[-1]
 print(json.dumps(out))
 """
 
 
-def test_solve_route_agrees_across_blas_threads():
-    # The BLAS thread count changes trailing digits, which must neither send a
-    # regularized update to the stacked least squares nor move the objective
-    # beyond rounding. At lambda = 0 the normal equations really lose digits
-    # and the stacked route stays in use.
+def test_fit_agrees_across_blas_threads():
+    # The BLAS thread count changes trailing digits of every product. With
+    # the ridge floor no core solve is left to that rounding, so the fit
+    # agrees across thread counts at lambda = 0 as well as when penalized.
     runs = [json.loads(run_python(THREAD_FIT, OPENBLAS_NUM_THREADS=t)) for t in ("1", "2")]
-    (fb1, obj1), (fb2, obj2) = runs[0]["0.001"], runs[1]["0.001"]
-    assert fb1 == fb2 == 0
-    assert abs(obj1 - obj2) <= 1e-12 * obj1
-    assert all(run["0.0"][0] > 0 for run in runs)
-
-
-def test_stacked_solve_frees_the_design_rows(monkeypatch):
-    # The stack copies the design rows A and lstsq copies the stack, so A must
-    # be gone before lstsq runs; otherwise a fit whose data send an update to
-    # the stacked route peaks higher by A's size on top of the two stacks.
-    import weakref
-
-    built, alive_at_lstsq = [], []
-    kron_rows, lstsq = tnbs.solver._kron_rows, np.linalg.lstsq
-
-    def recording_kron_rows(*args):
-        a_mat = kron_rows(*args)
-        built.append(weakref.ref(a_mat))
-        return a_mat
-
-    def checking_lstsq(*args, **kwargs):
-        alive_at_lstsq.append(built[-1]() is not None)
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(tnbs.solver, "_kron_rows", recording_kron_rows)
-    monkeypatch.setattr(np.linalg, "lstsq", checking_lstsq)
-    data = make_dataset(SynthSpec(seed=1), snr_db=20.0)
-    cfg = FitConfig(ranks=5, penalty_order=2, lambdas=0.0, max_sweeps=2, seed=0)
-    _, trace = als_fit(data.u_est, data.y_est, LagSpec((1, 2, 3, 4), (1, 2, 3, 4)),
-                       make_basis(2, 6), cfg, scaling=Scaling.identity())
-    assert trace.fallback_solves == len(alive_at_lstsq) > 0
-    assert not any(alive_at_lstsq)
+    for lam in ("0.001", "0.0"):
+        one, two = runs[0][lam], runs[1][lam]
+        assert abs(one - two) <= 1e-9 * one, lam
 
 
 def test_import_loads_no_process_modules():
@@ -794,6 +804,81 @@ def test_worker_death_names_exit_code(monkeypatch, tmp_path):
         cross_validate_lambda(data.u_est, data.y_est, spec.lags, basis, cfg, [0.0, 0.1], 3)
     assert launched
     assert all(proc.returncode is not None for proc in launched)
+
+
+KILLED_CV = """
+import os, subprocess, time
+from tnbs import FitConfig, LagSpec, Scaling, cross_validate_lambda, make_basis
+from tnbs.model import build_regressors
+from tnbs.solver import _fit_rows
+from tnbs.synth import SynthSpec, make_dataset
+
+class Announced(subprocess.Popen):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        print(self.pid, flush=True)
+
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+print(len(os.sched_getaffinity(0)), flush=True)
+data = make_dataset(SynthSpec(seed=0), snr_db=20.0)
+lags, basis, scaling = LagSpec((1, 2, 3, 4), (1, 2, 3, 4)), make_basis(2, 6), Scaling.identity()
+# About 1 s per fit, so a worker that ran out its 12 jobs would outlive the
+# caller by several times one fit plus the margin.
+cfg = FitConfig(ranks=5, penalty_order=2, max_sweeps=64, seed=0)
+x_rows, targets, _ = build_regressors(data.u_est, data.y_est, lags, scaling)
+train = 2 * len(targets) // 3
+start = time.perf_counter()
+_fit_rows(x_rows[:train], targets[:train], lags, basis, cfg, scaling)
+print(time.perf_counter() - start, flush=True)
+subprocess.Popen = Announced
+cross_validate_lambda(data.u_est, data.y_est, lags, basis, cfg, [1e-3] * 8, 3, scaling=scaling)
+"""
+
+
+def running(pid):
+    """Whether pid is a live process (a zombie awaiting its reaper is not)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not (hasattr(os, "sched_setaffinity") and os.path.isdir("/proc/self")),
+                    reason="needs CPU affinity and /proc")
+def test_workers_stop_when_caller_is_killed():
+    # SIGTERM ends the caller without running the finally that kills its
+    # workers; each worker must see at its next job that its caller is gone,
+    # so none outlives the caller by more than one fit (timed in the caller
+    # on a fold's rows) plus a margin for exit and scheduling. The caller
+    # pins itself to at most two CPUs, so at most two workers run.
+    margin_s = 2.0
+    src = str(Path(tnbs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    caller = subprocess.Popen([sys.executable, "-c", KILLED_CV], stdout=subprocess.PIPE,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+    workers = []
+    try:
+        cpus = int(caller.stdout.readline())
+        fit_s = float(caller.stdout.readline())
+        while len(workers) < cpus:
+            workers.append(int(caller.stdout.readline()))
+        assert len(workers) <= len(os.sched_getaffinity(0))
+        time.sleep(0.5 + 0.5 * fit_s)  # every worker is inside its first fit
+        assert all(running(pid) for pid in workers)
+        caller.send_signal(signal.SIGTERM)
+        caller.wait(timeout=10)
+        deadline = time.perf_counter() + fit_s + margin_s
+        while any(running(pid) for pid in workers) and time.perf_counter() < deadline:
+            time.sleep(0.05)
+        assert not any(running(pid) for pid in workers), (fit_s, margin_s)
+    finally:
+        caller.kill()
+        caller.wait()
+        caller.stdout.close()
+        for pid in workers:
+            if running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_worker_warning_reaches_caller(monkeypatch, tmp_path):
