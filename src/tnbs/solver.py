@@ -18,7 +18,10 @@ is computed once per sweep. ``_solve_core`` makes one LU solve of the normal
 equations with the ridge floor ``_RIDGE`` on their diagonal. The design rows are
 built with the sample index innermost, so every product broadcasts over the n
 samples, and come out in Fortran order; ``_solve_core`` takes every design in
-that order, so the fit and ``update_core`` hand BLAS one layout. The public
+that order, so the fit and ``update_core`` hand BLAS one layout. The sweep
+writes every design and normal matrix into one workspace per fit, sized for
+its widest core, since arrays of that size allocated per update are handed
+back to the OS when freed and paged in again at the next update. The public
 ``build_design_matrix``, ``build_penalty_matrix`` and ``update_core`` are thin
 views over these kernels, so the checks on them exercise the fit's own path.
 """
@@ -146,7 +149,8 @@ def dense_penalty(w: np.ndarray, d_mat: np.ndarray, axis: int) -> float:
     return float(np.sum(diffed * diffed))
 
 
-def _kron_rows(right: np.ndarray, mid: np.ndarray, left: np.ndarray) -> np.ndarray:
+def _kron_rows(right: np.ndarray, mid: np.ndarray, left: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Design rows: row n is right_n (x) mid_n (x) left_n.
 
     The column order matches the column-major vectorization of a core (left
@@ -155,13 +159,17 @@ def _kron_rows(right: np.ndarray, mid: np.ndarray, left: np.ndarray) -> np.ndarr
     contiguous (factor, sample) copies with the sample index innermost, so
     each broadcast runs over n samples rather than over the r or k entries of
     one factor; the (n, C) result is the transpose view of the (C, n) array,
-    and so Fortran-ordered.
+    and so Fortran-ordered. That (C, n) array is ``out`` when given (a
+    C-contiguous buffer the caller reuses), else a fresh one.
     """
     n = left.shape[0]
     cols = right.shape[1] * mid.shape[1]
     rt, mt, lt = (np.ascontiguousarray(f.T) for f in (right, mid, left))
     rm = (rt[:, None, :] * mt[None, :, :]).reshape(cols, n)
-    return (rm[:, None, :] * lt[None, :, :]).reshape(cols * left.shape[1], n).T
+    if out is None:
+        out = np.empty((cols * left.shape[1], n))
+    np.multiply(rm[:, None, :], lt[None, :, :], out=out.reshape(cols, left.shape[1], n))
+    return out.T
 
 
 def build_design_matrix(tt: TensorTrain, basis_mats, p: int) -> np.ndarray:
@@ -281,7 +289,7 @@ def build_penalty_matrix(tt: TensorTrain, d_mat: np.ndarray, p: int, j: int) -> 
     return om
 
 
-def _solve_core(a_mat, targets, penalize, penalty_value=None):
+def _solve_core(a_mat, targets, penalize, penalty_value=None, h=None):
     """Minimize ||targets - A g||^2 + g'Pg + tau ||g||^2 for one vectorized core.
 
     ``penalize(h)`` adds the penalty matrix P to the normal matrix A'A in
@@ -296,12 +304,15 @@ def _solve_core(a_mat, targets, penalize, penalty_value=None):
 
     A is taken in Fortran order, which the sweep's design rows already have,
     so the sweep and ``update_core`` hand BLAS the same layout and a design's
-    memory order cannot change the numbers.
+    memory order cannot change the numbers. A'A is written into ``h`` when
+    given, a C-contiguous square buffer: the sweep passes a view of its
+    per-fit workspace, so no update pages in a fresh normal matrix; the
+    product and its rounding are the same either way.
     """
     a_mat = np.asfortranarray(a_mat)
     if not np.isfinite(a_mat).all() or not np.isfinite(targets).all():
         raise NumericalError("non-finite values in the least-squares subproblem")
-    h = a_mat.T @ a_mat
+    h = np.matmul(a_mat.T, a_mat, out=h)
     penalize(h)
     h.flat[::len(h) + 1] += _RIDGE
     try:
@@ -399,12 +410,20 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
     for p in range(d - 1, 0, -1):
         refold(p, -1)
 
+    # Every update writes its design rows and normal matrix into views of one
+    # workspace, sized for the widest core: bonds only shrink during the sweep.
+    widest = max(c.size for c in cores)
+    a_buf, h_buf = np.empty(widest * n), np.empty(widest * widest)
+
     def update(p):
         shape = cores[p].shape
+        size = cores[p].size
         pens = lgram[p], lambdas[p], rgram[p]
-        g, obj = _solve_core(_kron_rows(right[p], basis_mats[p], left[p]), targets,
+        a_mat = _kron_rows(right[p], basis_mats[p], left[p], a_buf[:size * n].reshape(size, n))
+        g, obj = _solve_core(a_mat, targets,
                              lambda h: _add_penalties(h, *pens, dmat, shape),
-                             lambda g: _penalty_value(g, *pens, dmat, shape))
+                             lambda g: _penalty_value(g, *pens, dmat, shape),
+                             h_buf[:size * size].reshape(size, size))
         prev = trace.update_objectives[-1] if trace.update_objectives else None
         if prev is not None and obj > prev:
             # Coordinate descent may always reject a non-improving step; the

@@ -145,6 +145,24 @@ class TestDesignMatrix:
         expected = np.einsum("nc,ni,na->ncia", right, mid, left).reshape(n, r_next * 4 * r_prev)
         assert np.array_equal(_kron_rows(right, mid, left), expected)
 
+    @pytest.mark.parametrize("n, r_prev, r_next", [(0, 2, 3), (1, 1, 8), (7, 8, 1), (379, 8, 8)])
+    def test_kron_rows_into_buffer(self, n, r_prev, r_next):
+        # The sweep hands _kron_rows a view of its workspace: the rows written
+        # there are the allocating call's, bit for bit, in the buffer itself.
+        rng = np.random.default_rng(n)
+        right = rng.standard_normal((n, r_next))
+        mid = rng.random((n, 4))
+        left = rng.standard_normal((n, r_prev))
+        buf = np.full((r_next * 4 * r_prev, n), np.nan)
+        rows = _kron_rows(right, mid, left, buf)
+        expected = _kron_rows(right, mid, left)
+        assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+        assert rows.flags.f_contiguous
+        assert rows.__array_interface__["data"][0] == buf.__array_interface__["data"][0]
+        # An empty array shares no memory with anything, so n = 0 has only
+        # the address check above.
+        assert np.shares_memory(rows, buf) == (n > 0)
+
 
 class TestPenaltyMatrix:
     def test_on_site_structure(self):
@@ -344,6 +362,51 @@ def readme_fit():
     return fit
 
 
+def record_workspace(monkeypatch):
+    """Record every design _kron_rows returns and every normal matrix _solve_core factors.
+
+    Returns (designs, normals); the normal matrix is the one handed to the
+    penalty callback, which the solve factors right after.
+    """
+    designs, normals = [], []
+    kron_rows, solve_core = tnbs.solver._kron_rows, tnbs.solver._solve_core
+
+    def recording_kron_rows(*args):
+        designs.append(kron_rows(*args))
+        return designs[-1]
+
+    def recording_solve_core(a_mat, targets, penalize, *args):
+        def recording_penalize(h):
+            normals.append(h)
+            penalize(h)
+        return solve_core(a_mat, targets, recording_penalize, *args)
+
+    monkeypatch.setattr(tnbs.solver, "_kron_rows", recording_kron_rows)
+    monkeypatch.setattr(tnbs.solver, "_solve_core", recording_solve_core)
+    return designs, normals
+
+
+def owning_array(a):
+    """The array that owns a view's memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def load_tanks():
+    """The tanks-shaped surrogate data module of the benchmark, loaded read-only."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tanks.py"
+    spec = importlib.util.spec_from_file_location("tanks_surrogate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TANKS_LAGS = LagSpec((1, 2, 3, 4, 8, 12, 16, 32), (1, 2, 3, 4, 8, 12, 16, 32))
+
+
 class TestAlsFit:
     def test_exact_recovery_training_rmse(self):
         spec = SynthSpec(input_lags=(1, 2), output_lags=(1,), ranks=3, seed=7,
@@ -389,6 +452,22 @@ class TestAlsFit:
         assert model.weights.ranks == (1,) + (5,) * 7 + (1,)
         assert [c.shape for c in model.weights.cores] == (
             [(1, 4, 5)] + [(5, 4, 5)] * 6 + [(5, 4, 1)])
+
+    def test_sweep_reuses_one_workspace(self, monkeypatch):
+        # Every design and every normal matrix of a fit is a view of one
+        # buffer per kind, whatever the core's width: an update that
+        # allocates its own would page fresh memory in on every update.
+        designs, normals = record_workspace(monkeypatch)
+        data = make_dataset(SynthSpec(seed=0), snr_db=20.0)
+        cfg = FitConfig(ranks=5, penalty_order=2, lambdas=1e-3, max_sweeps=2, seed=0)
+        _, trace = als_fit(data.u_est, data.y_est, LagSpec((1, 2, 3, 4), (1, 2, 3, 4)),
+                           make_basis(2, 6), cfg, scaling=Scaling.identity())
+        assert len(designs) == len(normals) == len(trace.update_objectives) == 28
+        assert {a.shape[1] for a in designs} >= {16, 80, 100}
+        for kind in (designs, normals):
+            assert len({id(owning_array(m)) for m in kind}) == 1
+        assert owning_array(designs[0]) is not owning_array(normals[0])
+        assert all(a.flags.f_contiguous for a in designs)
 
     def test_seeded_determinism_bitwise(self):
         data, spec, basis, cfg = small_problem(seed=2, lam=0.01)
@@ -528,6 +607,36 @@ class TestAlsFit:
         obj = float(resid @ resid) + float(g @ pen @ g)
         last = trace.update_objectives[-1]
         assert abs(obj - last) <= 1e-3 * last
+
+    def test_paper_layout_fit_shares_one_workspace(self, monkeypatch):
+        # The paper's d = 16 layout (tanks lags, ranks 8, cubic splines with
+        # k = 4): cores of 16, 128 and 256 columns share one workspace, and
+        # one more site-0 update built from scratch by the public views lands
+        # where the sweep ended. The ridge floor is a sizeable part of this
+        # objective, so the check counts it.
+        u, y, _, _ = load_tanks().make_tanks(1)
+        basis = make_basis(3, 7)
+        cfg = FitConfig(ranks=8, penalty_order=1, lambdas=1e-3, max_sweeps=3, seed=0)
+        designs, normals = record_workspace(monkeypatch)
+        model, trace = als_fit(u, y, TANKS_LAGS, basis, cfg)
+        monkeypatch.undo()
+        assert {a.shape[1] for a in designs} >= {16, 128, 256}
+        assert len({id(owning_array(a)) for a in designs}) == 1
+        assert len({id(owning_array(h)) for h in normals}) == 1
+        objs = trace.update_objectives
+        assert len(objs) == 3 * 30
+        assert all(b <= a for a, b in zip(objs, objs[1:]))
+
+        x_rows, targets, _ = build_regressors(u, y, TANKS_LAGS, model.scaling)
+        tt = model.weights
+        bmats = [basis_rows(basis, x_rows[:, q]) for q in range(tt.order)]
+        a = build_design_matrix(tt, bmats, 0)
+        dmat = difference_matrix(basis.basis_count, 1)
+        pen = sum(1e-3 * build_penalty_matrix(tt, dmat, 0, j) for j in range(tt.order))
+        g = update_core(a, targets, [pen], [1.0])
+        resid = targets - a @ g
+        obj = float(resid @ resid) + float(g @ pen @ g) + _RIDGE * float(g @ g)
+        assert abs(obj - objs[-1]) <= 1e-8 * objs[-1]
 
     def test_single_core_schedule(self):
         # With d = 1 every sweep is the one exact update of the only core, so
