@@ -8,10 +8,19 @@ builds once from its knots: indicator bounds with the last natural interval
 closed, and per degree step the knot and span slices. A config accepts only
 finite, strictly increasing knots, so no span is zero and the recursion needs
 no zero-span guards.
+
+The recursion has two evaluators. ``basis_rows`` runs it on whole arrays of
+points, which is what fitting and prediction need. ``eval_basis`` runs it at
+one point over the rho + 1 functions that are non-zero there, in plain float
+arithmetic, which is what a free-run step needs: there a numpy call per step
+would cost more than the arithmetic it does. Both apply the same formulas to
+the same tables and agree bit for bit; every other entry of a row is +0.0.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +35,8 @@ class BasisConfig:
     evaluation tables are derived from them on construction: ``lo``/``hi``
     bound the degree-0 indicators, and ``steps`` holds, per degree q, the
     slices (t_j, t_{j+q} - t_j, t_{j+q+1}, t_{j+q+1} - t_{j+1}) that the
-    Cox-de Boor step q uses.
+    Cox-de Boor step q uses. ``point_lo`` and ``point_steps`` hold the same
+    tables as tuples of Python floats for the per-point evaluator.
     """
 
     degree: int
@@ -35,6 +45,8 @@ class BasisConfig:
     lo: np.ndarray = field(init=False, repr=False)
     hi: np.ndarray = field(init=False, repr=False)
     steps: tuple = field(init=False, repr=False)
+    point_lo: tuple = field(init=False, repr=False)
+    point_steps: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.knots, dtype=float)
@@ -68,6 +80,9 @@ class BasisConfig:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "steps", tuple(steps))
+        object.__setattr__(self, "point_lo", tuple(lo.tolist()))
+        object.__setattr__(self, "point_steps",
+                           tuple(tuple(tuple(a.tolist()) for a in step) for step in steps))
 
     @property
     def basis_count(self) -> int:
@@ -126,11 +141,42 @@ def basis_rows(cfg: BasisConfig, xs) -> np.ndarray:
     return b
 
 
+def _active_basis(cfg: BasisConfig, x: float) -> tuple[int, list]:
+    """The rho + 1 basis values that can be non-zero at a point x that is not NaN.
+
+    Returns (j, values) with values[i] = B_{j+i}(x), bitwise as ``basis_rows``
+    computes them. The point is clipped onto [0, 1] as ``np.clip`` clips it,
+    signed zeros and infinities included. Its degree-0 interval i comes from
+    the same closed-right bounds ``lo``. Step q then updates the functions
+    i - q..i only; the ones outside that window stay +0.0 in ``basis_rows``
+    and enter as 0.0 here.
+    """
+    x = min(max(x, 0.0), 1.0)
+    i = bisect_right(cfg.point_lo, x) - 1
+    b = [1.0]
+    for q, (t_left, span_left, t_right, span_right) in enumerate(cfg.point_steps, 1):
+        b = [0.0, *b, 0.0]
+        j0 = i - q
+        b = [(x - t_left[j]) / span_left[j] * b[j - j0]
+             + (t_right[j] - x) / span_right[j] * b[j - j0 + 1] for j in range(j0, i + 1)]
+    return i - cfg.degree, b
+
+
 def eval_basis(cfg: BasisConfig, x: float) -> np.ndarray:
-    """Basis vector [B_1(x), ..., B_k(x)] at a single point."""
-    if not np.isfinite(x):
+    """Basis vector [B_1(x), ..., B_k(x)] at a single point.
+
+    The per-point form of ``basis_rows``: the recursion runs over the
+    rho + 1 functions that are non-zero at x, and the row equals
+    ``basis_rows(cfg, [x])[0]`` bit for bit. Free-run simulation evaluates
+    each fed-back output this way.
+    """
+    x = float(x)
+    if not math.isfinite(x):
         raise ValueError("evaluation point must be finite")
-    return basis_rows(cfg, np.asarray([x], dtype=float))[0]
+    j, values = _active_basis(cfg, x)
+    row = np.zeros(cfg.basis_count)
+    row[j:j + len(values)] = values
+    return row
 
 
 def out_of_domain_count(xs) -> int:

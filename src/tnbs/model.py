@@ -9,12 +9,13 @@ its own outputs back.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bspline import BasisConfig, _as_int, basis_rows, make_basis
+from .bspline import BasisConfig, _active_basis, _as_int, basis_rows, make_basis
 from .tensor import TensorTrain, _fold_left
 
 MODEL_FORMAT_VERSION = 1
@@ -218,15 +219,28 @@ class TnbsModel:
         """Free-run simulation: lagged outputs come from the model itself.
 
         ``y_warmup`` is the prefix of true outputs aligned with u; simulation
-        produces one value per remaining sample. The warmup must reach the
-        largest lag so every regressor exists at the first simulated step.
-        Fed-back outputs are clipped onto the scaled [0, 1] box; the returned
-        values are unclipped, in original units. The exogenous input-lag chain
-        is folded once for all steps, so each step evaluates and folds only
-        the output-lag cores.
+        produces one value per remaining sample. The warmup must be a finite
+        one-dimensional signal that reaches the largest lag, so every
+        regressor exists at the first simulated step. Fed-back outputs are
+        clipped onto the scaled [0, 1] box; the returned values are
+        unclipped, in original units. A NaN output that a later step would
+        read is an error naming its sample; one that no step reads is
+        returned as is.
+
+        The exogenous input-lag chain is folded once for all steps, so each
+        step folds only the output-lag cores. Their basis rows come from one
+        array for the scaled output history: the warmup's rows from one
+        ``basis_rows`` call, and each fed-back output's row once, right
+        after it is produced, from the per-point evaluator
+        (``eval_basis``'s recursion over the rho + 1 non-zero functions).
+        The rows and so the outputs are bitwise those of evaluating every
+        step's regressor row afresh.
         """
         u = _as_signal(u, "u")
-        y_warmup = np.asarray(y_warmup, dtype=float)
+        y_warmup = _as_signal(y_warmup, "y_warmup")
+        bad = np.flatnonzero(~np.isfinite(y_warmup))
+        if bad.size:
+            raise ValueError(f"y_warmup sample {bad[0]} is not finite: {y_warmup[bad[0]]}")
         t0 = len(y_warmup)
         if t0 < self.lags.max_output_lag:
             raise ValueError(
@@ -242,21 +256,34 @@ class TnbsModel:
         if t0 > n:
             raise ValueError("warmup longer than the input signal")
         us = self.scaling.scale_u(u)
-        hist = np.empty(n)
-        hist[:t0] = self.scaling.scale_y(y_warmup)
         # Input lags lead the regressor row (LagSpec order) and do not depend
         # on fed-back outputs; with no output lags this is predict's batch.
         head = self._fold_rows(_lagged(us, np.arange(t0, n), self.lags.input_lags),
                                np.ones((n - t0, 1)))
         if not self.lags.output_lags:
             return self.scaling.unscale_y(head[:, 0])
-        out_lags = np.array(self.lags.output_lags, dtype=int)
-        nu = len(self.lags.input_lags)
+        out_lags = self.lags.output_lags
+        cores = self.weights.cores[len(self.lags.input_lags):]
+        # rows[t] is the basis row of the scaled output at sample t; only the
+        # samples that some step reads get one.
+        rows = np.zeros((n, self.basis.basis_count))
+        first = t0 - out_lags[-1]
+        rows[first:t0] = basis_rows(self.basis, self.scaling.scale_y(y_warmup[first:]))
+        read_until = n - out_lags[0]
         out = np.empty(n - t0)
         for t in range(t0, n):
-            s = float(self._fold_rows(hist[None, t - out_lags], head[t - t0, None], nu)[0, 0])
+            v = head[t - t0, None]
+            for lag, core in zip(out_lags, cores):
+                v = _fold_left(v, core, rows[t - lag, None])
+            s = float(v[0, 0])
             out[t - t0] = s
-            hist[t] = min(max(s, 0.0), 1.0)
+            if t < read_until:
+                if math.isnan(s):
+                    raise ValueError(f"simulated output at sample {t} is NaN and would be "
+                                     "fed back")
+                # The evaluator clips s onto [0, 1], as every fed-back output is.
+                j, values = _active_basis(self.basis, s)
+                rows[t, j:j + len(values)] = values
         return self.scaling.unscale_y(out)
 
     def save(self, path) -> None:

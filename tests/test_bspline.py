@@ -182,6 +182,7 @@ def test_rows_bitwise_equal_guarded_oracle(rho, m):
     ref = guarded_basis_rows(cfg, xs)
     assert rows.shape == ref.shape
     assert rows.tobytes() == ref.tobytes()
+    assert all(eval_basis(cfg, x).tobytes() == r.tobytes() for x, r in zip(xs, ref))
 
 
 class TestBasisConfigKnots:

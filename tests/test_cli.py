@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import shlex
@@ -182,6 +183,23 @@ def test_readme_commands_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: tnbs {shlex.join(argv)}")
+
+
+def test_repeated_main_leaves_no_parser_garbage(tmp_path):
+    # In-process callers run main many times; a parser built per call leaves
+    # its argparse objects in reference cycles until a full collection.
+    argv = SYNTH_ARGS + ["--out-prefix", str(tmp_path / "s")]
+    assert main(argv) == 0  # the first call builds the parser
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        left = {type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert not left
 
 
 def test_malformed_csv_reports_row(tmp_path, capsys):

@@ -16,6 +16,7 @@ from tnbs import (
     rmse,
     tt_to_full,
 )
+from tnbs.model import _lagged
 from tnbs.synth import SynthSpec, make_dataset
 
 
@@ -30,13 +31,21 @@ def constant_model(d, value, lags=None):
                      scaling=Scaling.identity())
 
 
-def random_model(rng, d, ranks, lags):
-    basis = make_basis(2, 6)
+def random_model(rng, d, ranks, lags, basis=(2, 6)):
+    basis = make_basis(*basis)
     k = basis.basis_count
     full = (1,) + tuple(ranks) + (1,)
     cores = tuple(rng.standard_normal((full[p], k, full[p + 1])) for p in range(d))
     return TnbsModel(basis=basis, lags=lags, weights=TensorTrain(cores),
                      scaling=Scaling.identity())
+
+
+FREE_RUN_LAYOUTS = [
+    LagSpec((0, 2), (1, 3)),
+    LagSpec((), (1, 2, 3)),
+    LagSpec((1, 2, 3, 4, 8, 12, 16, 32), (1, 2, 3, 4, 8, 12, 16, 32)),
+]
+FREE_RUN_LAYOUT_IDS = ["mixed", "output-only", "tanks"]
 
 
 class TestLagSpec:
@@ -229,11 +238,7 @@ class TestPredictSimulate:
         with pytest.raises(ValueError):
             model.simulate(np.zeros(10), np.zeros(1))
 
-    @pytest.mark.parametrize("lags", [
-        LagSpec((0, 2), (1, 3)),
-        LagSpec((), (1, 2, 3)),
-        LagSpec((1, 2, 3, 4, 8, 12, 16, 32), (1, 2, 3, 4, 8, 12, 16, 32)),
-    ], ids=["mixed", "output-only", "tanks"])
+    @pytest.mark.parametrize("lags", FREE_RUN_LAYOUTS, ids=FREE_RUN_LAYOUT_IDS)
     def test_simulate_matches_row_by_row_oracle(self, lags):
         rng = np.random.default_rng(3)
         d = lags.dimension
@@ -245,10 +250,90 @@ class TestPredictSimulate:
         assert sim.shape == expected.shape
         assert np.linalg.norm(sim - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("basis", [(0, 3), (2, 6), (3, 7)],
+                             ids=["degree0", "degree2", "degree3"])
+    @pytest.mark.parametrize("lags", FREE_RUN_LAYOUTS, ids=FREE_RUN_LAYOUT_IDS)
+    def test_simulate_bitwise_equals_per_step_oracle(self, lags, basis):
+        # Seed 33 gives every case a run through several values inside [0, 1].
+        rng = np.random.default_rng(33)
+        d = lags.dimension
+        model = random_model(rng, d, (2,) * (d - 1), lags, basis)
+        u = rng.random(120)
+        y_warmup = rng.uniform(-0.5, 1.5, lags.start_index)
+        y_warmup[0] = -0.25  # warmup outside [0, 1], clipped on evaluation
+        expected = simulate_by_steps(model, u, y_warmup)
+        sim = model.simulate(u, y_warmup)
+        assert sim.tobytes() == expected.tobytes()
+
     def test_full_length_warmup_simulates_nothing(self):
         model = constant_model(3, 0.4, lags=LagSpec((0, 1), (1,)))
         sim = model.simulate(np.zeros(10), np.zeros(10))
         assert sim.shape == (0,)
+
+    @pytest.mark.parametrize("y_warmup, message", [
+        (np.zeros((1, 1)), "y_warmup must be a one-dimensional signal"),
+        (np.zeros((2, 3)), "y_warmup must be a one-dimensional signal"),
+        (0.5, "y_warmup must be a one-dimensional signal"),
+        (np.array([0.2, np.nan]), "y_warmup sample 1 is not finite"),
+    ], ids=["column", "matrix", "scalar", "nan"])
+    def test_bad_warmup_rejected_by_name(self, y_warmup, message):
+        model = constant_model(2, 0.4, lags=LagSpec((0,), (1,)))
+        with pytest.raises(ValueError, match=message):
+            model.simulate(np.zeros(10), y_warmup)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_non_finite_free_run(self):
+        # At u_t = 1 the output overflows to inf, -inf or NaN (inf - inf).
+        nan_model = overflow_model((1.0, -1.0))
+        with pytest.raises(ValueError, match="output at sample 2 is NaN"):
+            nan_model.simulate([0.0, 0.0, 1.0, 0.0], [0.3])
+        # A NaN that no later step reads is returned as is.
+        assert np.isnan(nan_model.simulate([0.0, 1.0], [0.3])).all()
+        sim = nan_model.simulate([0.0, 0.0, 1.0], [0.3])
+        assert sim[0] == 0.3 and np.isnan(sim[1])
+        # Infinite outputs are returned and fed back clipped onto [0, 1].
+        u = [0.0, 0.0, 1.0, 0.0, 0.0]
+        assert list(overflow_model((1.0, 1.0)).simulate(u, [0.3])) == [0.3, np.inf, 1.0, 1.0]
+        assert list(overflow_model((-1.0, -1.0)).simulate(u, [0.3])) == [0.3, -np.inf, 0.0, 0.0]
+
+
+def overflow_model(signs):
+    """Linear hats on u_t, u_{t-1}, y_{t-1}; inputs in {0, 1} keep every product exact.
+
+    At u_t = 0 the output is the fed-back y_{t-1}. At u_t = 1 the input cores
+    carry 1e300 * 1e300 = inf into the last fold, whose hat weights ``signs``
+    turn it into +inf, -inf, or NaN (inf - inf) when the signs differ.
+    """
+    core0 = np.array([[[1.0, 0.0], [1.0, 1e300]]])
+    core1 = np.zeros((2, 2, 2))
+    core1[0, :, 0] = 1.0
+    core1[1, :, 1] = 1e300
+    core2 = np.array([[[0.0], [1.0]], [[signs[0]], [signs[1]]]])
+    return TnbsModel(basis=make_basis(1, 3), lags=LagSpec((0, 1), (1,)),
+                     weights=TensorTrain((core0, core1, core2)), scaling=Scaling.identity())
+
+
+def simulate_by_steps(model, u, y_warmup):
+    """Free run that evaluates each step's output-lag basis rows afresh.
+
+    One ``basis_rows`` call and one fold per step over the scaled history;
+    ``simulate`` keeps each fed-back output's row instead and must match this
+    bitwise.
+    """
+    us = model.scaling.scale_u(u)
+    t0, n = len(y_warmup), len(u)
+    hist = np.empty(n)
+    hist[:t0] = model.scaling.scale_y(y_warmup)
+    head = model._fold_rows(_lagged(us, np.arange(t0, n), model.lags.input_lags),
+                            np.ones((n - t0, 1)))
+    out_lags = np.array(model.lags.output_lags, dtype=int)
+    nu = len(model.lags.input_lags)
+    out = np.empty(n - t0)
+    for t in range(t0, n):
+        s = float(model._fold_rows(hist[None, t - out_lags], head[t - t0, None], nu)[0, 0])
+        out[t - t0] = s
+        hist[t] = min(max(s, 0.0), 1.0)
+    return model.scaling.unscale_y(out)
 
 
 def simulate_by_rows(model, u, y_warmup):
