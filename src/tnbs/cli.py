@@ -31,7 +31,8 @@ EXIT_NUMERIC = 3
 
 def read_signal_csv(path) -> tuple[np.ndarray, np.ndarray]:
     u, y = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig also reads the byte-order mark of a spreadsheet's "CSV UTF-8".
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip().lower() for c in header] != ["u", "y"]:

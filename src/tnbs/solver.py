@@ -11,19 +11,22 @@ the iteration monotone.
 Each step has one implementation, run by the sweep: ``_kron_rows`` builds the
 design rows from the chain fold ``tensor._fold_left``, and ``_add_penalties``
 collapses the penalties onto the updated core from the penalty Gram
-``_gram_left``. Right-hand folds and Grams run the same kernels on the flipped
-cores (``tensor._flip``). The sweep carries both folds and both Grams and
-refolds them at each QR shift (``tensor._qr_shift``), so every chain product
-is computed once per sweep. ``_solve_core`` makes one LU solve of the normal
-equations with the ridge floor ``_RIDGE`` on their diagonal. The design rows are
-built with the sample index innermost, so every product broadcasts over the n
-samples, and come out in Fortran order; ``_solve_core`` takes every design in
-that order, so the fit and ``update_core`` hand BLAS one layout. The sweep
-writes every design and normal matrix into one workspace per fit, sized for
-its widest core, since arrays of that size allocated per update are handed
-back to the OS when freed and paged in again at the next update. The public
-``build_design_matrix``, ``build_penalty_matrix`` and ``update_core`` are thin
-views over these kernels, so the checks on them exercise the fit's own path.
+``_gram_left``. Both chains are walked by ``tensor._walk``, which runs a kernel
+on the cores left of the updated core and on the flipped cores right of it,
+and refolds one product at each QR shift (``tensor._qr_shift``), so every
+chain product is computed once per sweep. The Gram walk starts from a 1 x 1
+zero, so a vanishing weight adds exact zeros and no term is ever absent.
+``_solve_core`` makes one LU solve of the normal equations with the ridge
+floor ``_RIDGE`` on their diagonal. The design rows are built with the sample
+index innermost, so every product broadcasts over the n samples, and come out
+in Fortran order; ``_solve_core`` takes every design in that order, so the fit
+and ``update_core`` hand BLAS one layout. The sweep writes every design and
+normal matrix into one workspace per fit, sized for its widest core, since
+arrays of that size allocated per update are handed back to the OS when freed
+and paged in again at the next update. The public ``build_design_matrix``,
+``build_penalty_matrix`` and ``update_core`` are thin views over these
+kernels, the first two over the sweep's two walks started at the site asked
+for, so the checks on them exercise the fit's own path.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 from .bspline import BasisConfig, _as_int, basis_rows, out_of_domain_count
 from .model import LagSpec, Scaling, TnbsModel, build_regressors, rmse, _as_signal
 from .tensor import (
-    TensorTrain, orthogonalize_to_site, _flip, _fold_left, _normalize_rank_caps, _qr_shift,
+    TensorTrain, orthogonalize_to_site, _fold_left, _normalize_rank_caps, _qr_shift, _walk,
 )
 
 
@@ -172,13 +175,25 @@ def _kron_rows(right: np.ndarray, mid: np.ndarray, left: np.ndarray,
     return out.T
 
 
+def _fold_walk(cores, basis_mats, site):
+    """Per-sample chain products (n, r) around ``site``: ``tensor._walk`` of ``_fold_left``."""
+    return _walk(lambda v, core, p: _fold_left(v, core, basis_mats[p]),
+                 np.ones((len(basis_mats[0]), 1)), cores, site)
+
+
+def _gram_walk(cores, d_mat, lambdas, site):
+    """Weighted penalty Grams (r x r) around ``site``: ``tensor._walk`` of ``_gram_left``."""
+    return _walk(lambda acc, core, p: _gram_left(acc, core, d_mat, lambdas[p]),
+                 np.zeros((1, 1)), cores, site)
+
+
 def build_design_matrix(tt: TensorTrain, basis_mats, p: int) -> np.ndarray:
     """Design matrix for updating core p: one Kronecker-product row per sample.
 
     ``basis_mats`` lists one (n, k) basis-row matrix per dimension. The train
     must be canonical at p (that is what keeps the subproblem conditioned);
     the product of the matrix with the vectorized core p reproduces the model
-    output on every sample.
+    output on every sample. The rows are the sweep's, from its fold walk.
     """
     if tt.canonical_site != p:
         raise ValueError(
@@ -186,48 +201,21 @@ def build_design_matrix(tt: TensorTrain, basis_mats, p: int) -> np.ndarray:
         )
     if len(basis_mats) != tt.order:
         raise ValueError(f"need {tt.order} basis matrices, got {len(basis_mats)}")
-    n = basis_mats[0].shape[0]
-    left = np.ones((n, 1))
-    for j in range(p):
-        left = _fold_left(left, tt.cores[j], basis_mats[j])
-    right = np.ones((n, 1))
-    for j in range(tt.order - 1, p, -1):
-        right = _fold_left(right, _flip(tt.cores[j]), basis_mats[j])
-    return _kron_rows(right, basis_mats[p], left)
+    left, right, _ = _fold_walk(tt.cores, basis_mats, p)
+    return _kron_rows(right[p], basis_mats[p], left[p])
 
 
 def _gram_left(acc, core, d_mat, lam):
     """Carry the weighted left penalty Gram (r_{p-1} square) through core p.
 
-    ``acc`` sums lambda_j times the chain Gram for every j < p, None while all
-    those weights vanish; core p adds its own difference Gram when ``lam`` is
-    positive. On flipped cores it carries the right Gram (r_p square) instead.
+    ``acc`` sums lambda_j times the chain Gram for every j < p; the walk
+    starts it as a 1 x 1 zero, so a vanishing weight adds exact zeros and
+    needs no branch. Core p adds its own difference Gram weighted by ``lam``.
+    On flipped cores it carries the right Gram (r_p square) instead.
     """
-    if acc is not None:
-        acc = np.einsum("ab,aic,bid->cd", acc, core, core)
-    if lam > 0.0:
-        mod = np.tensordot(d_mat, core, axes=(1, 1)).transpose(1, 0, 2)
-        gram = lam * np.einsum("aic,aid->cd", mod, mod)
-        acc = gram if acc is None else acc + gram
-    return acc
-
-
-def _accumulated_penalties(cores, d_mat, lambdas, p):
-    """Weighted penalty Grams for all dimensions, collapsed onto core p.
-
-    Returns (left, middle, right): ``left`` sums lambda_j times the chain
-    Gram for j < p (an r_{p-1} square matrix, None if all weights vanish),
-    ``middle`` is lambda_p, and ``right`` is the same sum for j > p taken
-    over the flipped cores (an r_p square matrix). The sweep carries the same
-    two Grams site by site instead.
-    """
-    left = None
-    for q in range(p):
-        left = _gram_left(left, cores[q], d_mat, lambdas[q])
-    right = None
-    for q in range(len(cores) - 1, p, -1):
-        right = _gram_left(right, _flip(cores[q]), d_mat, lambdas[q])
-    return left, lambdas[p], right
+    acc = np.einsum("ab,aic,bid->cd", acc, core, core)
+    mod = np.tensordot(d_mat, core, axes=(1, 1)).transpose(1, 0, 2)
+    return acc + lam * np.einsum("aic,aid->cd", mod, mod)
 
 
 def _add_penalties(h, left, lam_mid, right, d_mat, shape):
@@ -238,26 +226,20 @@ def _add_penalties(h, left, lam_mid, right, d_mat, shape):
     (r_p, k, r_{p-1}, r_p, k, r_{p-1}) reshape of ``h`` instead of
     materializing the full matrix.
     """
-    mid = lam_mid * (d_mat.T @ d_mat) if lam_mid > 0.0 else None
+    mid = lam_mid * (d_mat.T @ d_mat)
     for spec, term in zip(("ciacib->ciab", "ciacja->caij", "ciadia->iacd"), (left, mid, right)):
-        if term is not None:
-            view = np.einsum(spec, h.reshape(shape[::-1] * 2))
-            view += term
+        view = np.einsum(spec, h.reshape(shape[::-1] * 2))
+        view += term
 
 
 def _penalty_value(g, left, lam_mid, right, d_mat, shape) -> float:
     """Quadratic form of the collapsed penalties at a vectorized core."""
     r_prev, k, r_next = shape
     g3 = g.reshape(r_next, k, r_prev)
-    value = 0.0
-    if left is not None:
-        value += float(np.einsum("cia,ab,cib->", g3, left, g3))
-    if lam_mid > 0.0:
-        diffs = np.einsum("ij,cja->cia", d_mat, g3)
-        value += lam_mid * float(np.sum(diffs * diffs))
-    if right is not None:
-        value += float(np.einsum("cia,cb,bia->", g3, right, g3))
-    return value
+    diffs = np.einsum("ij,cja->cia", d_mat, g3)
+    return (float(np.einsum("cia,ab,cib->", g3, left, g3))
+            + lam_mid * float(np.sum(diffs * diffs))
+            + float(np.einsum("cia,cb,bia->", g3, right, g3)))
 
 
 def build_penalty_matrix(tt: TensorTrain, d_mat: np.ndarray, p: int, j: int) -> np.ndarray:
@@ -266,8 +248,8 @@ def build_penalty_matrix(tt: TensorTrain, d_mat: np.ndarray, p: int, j: int) -> 
     With the train canonical at p, the factors left and right of the penalized
     dimension collapse to identities except for the Gram of the chain segment
     between j and p, so only one of the three Kronecker factors is non-trivial.
-    This is the fit's own accumulation with a unit weight on dimension j only,
-    written into a zero matrix.
+    This is the sweep's Gram walk with a unit weight on dimension j only,
+    added into a zero matrix by the sweep's ``_add_penalties``.
     """
     d_mat = np.asarray(d_mat, dtype=float)
     if tt.canonical_site != p:
@@ -283,9 +265,9 @@ def build_penalty_matrix(tt: TensorTrain, d_mat: np.ndarray, p: int, j: int) -> 
         )
     lambdas = [0.0] * tt.order
     lambdas[j] = 1.0
+    left, right, _ = _gram_walk(tt.cores, d_mat, lambdas, p)
     om = np.zeros((tt.cores[p].size, tt.cores[p].size))
-    _add_penalties(om, *_accumulated_penalties(tt.cores, d_mat, lambdas, p), d_mat,
-                   tt.cores[p].shape)
+    _add_penalties(om, left[p], lambdas[p], right[p], d_mat, tt.cores[p].shape)
     return om
 
 
@@ -347,8 +329,7 @@ def update_core(a_mat, targets, penalty_mats, lambdas) -> np.ndarray:
 
     def penalize(h):
         for om, lam in zip(penalty_mats, lambdas):
-            if lam != 0.0:
-                h += lam * np.asarray(om, dtype=float)
+            h += lam * np.asarray(om, dtype=float)
 
     return _solve_core(a_mat, targets, penalize)[0]
 
@@ -395,20 +376,8 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
 
     # Chain products around the updated core, per sample (data folds) and
     # for the penalties (Grams); refolded on the side each QR shift moves.
-    left, right = [None] * d, [None] * d
-    lgram, rgram = [None] * d, [None] * d
-    left[0] = np.ones((n, 1))
-    right[d - 1] = np.ones((n, 1))
-
-    def refold(p, step):
-        # A right-hand refold is the left-hand one on the flipped core.
-        core, folds, grams = ((cores[p], left, lgram) if step > 0
-                              else (_flip(cores[p]), right, rgram))
-        folds[p + step] = _fold_left(folds[p], core, basis_mats[p])
-        grams[p + step] = _gram_left(grams[p], core, dmat, lambdas[p])
-
-    for p in range(d - 1, 0, -1):
-        refold(p, -1)
+    left, right, refold_folds = _fold_walk(cores, basis_mats, 0)
+    lgram, rgram, refold_grams = _gram_walk(cores, dmat, lambdas, 0)
 
     # Every update writes its design rows and normal matrix into views of one
     # workspace, sized for the widest core: bonds only shrink during the sweep.
@@ -442,7 +411,8 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
             update(p)
             if step:
                 _qr_shift(cores, p, step)
-                refold(p, step)
+                refold_folds(p, step)
+                refold_grams(p, step)
         trace.first_core_objectives.append(trace.update_objectives[-len(schedule)])
         trace.sweeps_run = sweep
         js = trace.first_core_objectives

@@ -113,8 +113,32 @@ def _fold_left(v: np.ndarray, core: np.ndarray, bmat: np.ndarray) -> np.ndarray:
 
 def _flip(core: np.ndarray) -> np.ndarray:
     """Core p as read from the far end of the train, (r_p, k_p, r_{p-1}): right-hand
-    chain products are the left-hand ones on the flipped cores."""
+    chain products are the left-hand ones on the flipped cores (``_walk``)."""
     return np.ascontiguousarray(core.transpose(2, 1, 0))
+
+
+def _walk(carry, start, cores, site: int):
+    """Chain products around core ``site`` and the refold that keeps them.
+
+    ``carry(v, core, p)`` carries a product over core p. ``left[p]`` carries
+    ``start`` over cores 0..p-1 (filled for p <= site), ``right[p]`` over the
+    flipped cores d-1..p+1 (filled for p >= site). ``refold(p, step)`` fills
+    p + step from p once the canonical site moved from p by ``step``; it reads
+    ``cores`` at call time, so it follows a list updated in place.
+    """
+    d = len(cores)
+    left, right = [None] * d, [None] * d
+    left[0] = right[d - 1] = start
+
+    def refold(p, step):
+        core, prods = (cores[p], left) if step > 0 else (_flip(cores[p]), right)
+        prods[p + step] = carry(prods[p], core, p)
+
+    for p in range(site):
+        refold(p, 1)
+    for p in range(d - 1, site, -1):
+        refold(p, -1)
+    return left, right, refold
 
 
 def _normalize_rank_caps(max_ranks, d: int):

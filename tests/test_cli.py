@@ -239,6 +239,15 @@ def test_wrong_header_rejected(tmp_path):
     assert code == 2
 
 
+def test_csv_with_byte_order_mark(tmp_path):
+    # Spreadsheets save "CSV UTF-8" with a byte-order mark before the header.
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeffu,y\n0.1,0.2\n0.3,0.4\n".encode("utf-8"))
+    u, y = read_signal_csv(path)
+    assert u.tolist() == [0.1, 0.3]
+    assert y.tolist() == [0.2, 0.4]
+
+
 def test_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     u, y = rng.random(17), rng.standard_normal(17)

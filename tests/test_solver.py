@@ -34,9 +34,10 @@ from tnbs import (
 from tnbs.bspline import basis_rows
 from tnbs.model import TnbsModel, build_regressors
 from tnbs.solver import (
-    _RIDGE, _accumulated_penalties, _add_penalties, _kron_rows, _penalty_value,
+    _RIDGE, _add_penalties, _gram_walk, _kron_rows, _penalty_value,
 )
 from tnbs.synth import SynthSpec, make_dataset
+from tnbs.tensor import _flip, _fold_left
 
 
 def random_tt(rng, d, k, ranks):
@@ -206,7 +207,8 @@ class TestPenaltyMatrix:
             ttp = orthogonalize_to_site(tt, p)
             shape = ttp.cores[p].shape
             g = ttp.cores[p].reshape(-1, order="F")
-            pens = _accumulated_penalties(ttp.cores, dmat, lams, p)
+            left, right, _ = _gram_walk(ttp.cores, dmat, lams, p)
+            pens = left[p], lams[p], right[p]
             value = _penalty_value(g, *pens, dmat, shape)
             pen = np.zeros((g.size, g.size))
             _add_penalties(pen, *pens, dmat, shape)
@@ -217,7 +219,7 @@ class TestPenaltyMatrix:
 
     @pytest.mark.parametrize("alpha", [1, 2])
     @pytest.mark.parametrize("shape", [(1, 4, 5), (5, 4, 1), (4, 4, 8), (8, 4, 8)])
-    def test_root_blocks_reproduce_the_matrix(self, shape, alpha):
+    def test_diagonal_views_reproduce_the_matrix(self, shape, alpha):
         # The core solve adds the penalties through the diagonal views of
         # _add_penalties; on every subset of the three axis terms they must
         # write exactly the Kronecker-product matrix.
@@ -229,10 +231,11 @@ class TestPenaltyMatrix:
         refs = (np.kron(np.eye(r_next * k), terms[0]),
                 np.kron(np.eye(r_next), np.kron(terms[1] * (dmat.T @ dmat), np.eye(r_prev))),
                 np.kron(terms[2], np.eye(k * r_prev)))
+        absent = (np.zeros((r_prev, r_prev)), 0.0, np.zeros((r_next, r_next)))
         for use in itertools.product([False, True], repeat=3):
             if not any(use):
                 continue
-            left, lam, right = (t if u else z for t, u, z in zip(terms, use, (None, 0.0, None)))
+            left, lam, right = (t if u else z for t, u, z in zip(terms, use, absent))
             ref = sum(r for r, u in zip(refs, use) if u)
             pen = np.zeros(ref.shape)
             _add_penalties(pen, left, lam, right, dmat, shape)
@@ -243,6 +246,66 @@ class TestPenaltyMatrix:
         tt = orthogonalize_to_site(random_tt(rng, 3, 4, (2, 2)), 0)
         with pytest.raises(ValueError):
             build_penalty_matrix(tt, difference_matrix(4, 1), 2, 0)
+
+
+def reference_design(tt, bmats, p):
+    """Explicit chain loops for the design rows at core p."""
+    n = bmats[0].shape[0]
+    left = np.ones((n, 1))
+    for q in range(p):
+        left = _fold_left(left, tt.cores[q], bmats[q])
+    right = np.ones((n, 1))
+    for q in range(tt.order - 1, p, -1):
+        right = _fold_left(right, _flip(tt.cores[q]), bmats[q])
+    return _kron_rows(right, bmats[p], left)
+
+
+def reference_penalty(tt, dmat, p, j):
+    """Explicit chain loops for the unit penalty on dimension j, collapsed onto core p.
+
+    Only dimension j is weighted, so exactly one Kronecker factor is not an
+    identity: the chain Gram from j up to p (j < p), the difference Gram
+    (j = p), or the chain Gram from j down to p (j > p).
+    """
+    r_prev, k, r_next = tt.cores[p].shape
+    if j == p:
+        return np.kron(np.eye(r_next), np.kron(dmat.T @ dmat, np.eye(r_prev)))
+    cores = (list(tt.cores[j:p]) if j < p
+             else [_flip(c) for c in tt.cores[j:p:-1]])
+    mod = np.tensordot(dmat, cores[0], axes=(1, 1)).transpose(1, 0, 2)
+    gram = 1.0 * np.einsum("aic,aid->cd", mod, mod)
+    for core in cores[1:]:
+        gram = np.einsum("ab,aic,bid->cd", gram, core, core)
+    if j < p:
+        return np.kron(np.eye(r_next * k), gram)
+    return np.kron(gram, np.eye(k * r_prev))
+
+
+class TestViewsBitwise:
+    # The public views run the sweep's chain walk; they must equal the
+    # explicit chain loops exactly, not just to a tolerance.
+
+    @pytest.mark.parametrize("d, ranks", [(4, (2, 3, 2)), (1, ())])
+    def test_design_matrix_equals_explicit_loops(self, d, ranks):
+        rng = np.random.default_rng(40 + d)
+        tt = random_tt(rng, d, 5, ranks)
+        bmats = [rng.random((30, 5)) for _ in range(d)]
+        for p in range(d):
+            ttp = orthogonalize_to_site(tt, p)
+            assert np.array_equal(build_design_matrix(ttp, bmats, p),
+                                  reference_design(ttp, bmats, p)), p
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    @pytest.mark.parametrize("d, ranks", [(4, (2, 3, 2)), (1, ())])
+    def test_penalty_matrix_equals_explicit_loops(self, d, ranks, alpha):
+        rng = np.random.default_rng(50 + d + alpha)
+        tt = random_tt(rng, d, 5, ranks)
+        dmat = difference_matrix(5, alpha)
+        for p in range(d):
+            ttp = orthogonalize_to_site(tt, p)
+            for j in range(d):
+                assert np.array_equal(build_penalty_matrix(ttp, dmat, p, j),
+                                      reference_penalty(ttp, dmat, p, j)), (p, j)
 
 
 class TestUpdateCore:

@@ -10,7 +10,7 @@ from tnbs import (
     tt_to_full,
     vectorize,
 )
-from tnbs.tensor import _flip, _fold_left
+from tnbs.tensor import _flip, _fold_left, _qr_shift, _walk
 
 
 def rel_err(a, b):
@@ -289,6 +289,42 @@ class TestFolds:
         got = _fold_left(v, _flip(core), bmat)
         assert got.shape == (n, shape[0])
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+class TestWalk:
+    """The chain walk that the sweep and the solver's public views share."""
+
+    def chain(self):
+        rng = np.random.default_rng(4)
+        cores = list(random_tt(rng, (3, 4, 5, 3), (2, 3, 2)).cores)
+        bmats = [rng.random((6, c.shape[1])) for c in cores]
+        return cores, (lambda v, core, p: _fold_left(v, core, bmats[p])), np.ones((6, 1))
+
+    @pytest.mark.parametrize("site", [0, 1, 3])
+    def test_products_are_the_explicit_folds(self, site):
+        cores, carry, start = self.chain()
+        left, right, _ = _walk(carry, start, cores, site)
+        v = start
+        for p in range(site + 1):
+            assert np.array_equal(left[p], v), p
+            v = carry(v, cores[p], p)
+        v = start
+        for p in range(len(cores) - 1, site - 1, -1):
+            assert np.array_equal(right[p], v), p
+            v = carry(v, _flip(cores[p]), p)
+        assert all(x is None for x in left[site + 1:] + right[:site])
+
+    @pytest.mark.parametrize("site, step", [(0, 1), (2, 1), (3, -1), (1, -1)])
+    def test_refold_after_a_shift_is_a_fresh_walk(self, site, step):
+        # The sweep keeps one walk: after a QR shift in place, refolding the
+        # moved side must give what a walk started at the new site gives.
+        cores, carry, start = self.chain()
+        left, right, refold = _walk(carry, start, cores, site)
+        _qr_shift(cores, site, step)
+        refold(site, step)
+        fresh_left, fresh_right, _ = _walk(carry, start, cores, site + step)
+        assert np.array_equal(left[site + step], fresh_left[site + step])
+        assert np.array_equal(right[site + step], fresh_right[site + step])
 
 
 def mode_product(a, c, axis):
