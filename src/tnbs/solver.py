@@ -462,22 +462,15 @@ def cross_validate_lambda(u, y, lags, basis, cfg, lambda_grid, folds: int,
     blocks = np.array_split(np.arange(n), folds)
     jobs = [(li, fi) for li in range(len(grid)) for fi in range(folds)]
     results = _run_cv_jobs((x_rows, targets, blocks, lags, basis, cfgs, scaling), jobs)
-    scores = np.empty((len(grid), folds))
-    issued = set()
-    for (li, fi), outcome, caught in results:
-        for w in caught:
-            if w not in issued:
-                issued.add(w)
-                category, message, filename, lineno = w
-                warnings.warn_explicit(message, category, filename, lineno)
-        if isinstance(outcome, Exception):
-            raise outcome
-        scores[li, fi] = outcome
+    failed = next((i for i, r in enumerate(results) if isinstance(r[1], Exception)), len(results))
+    for category, message, filename, lineno in dict.fromkeys(
+            w for _, _, caught in results[:failed + 1] for w in caught):
+        warnings.warn_explicit(message, category, filename, lineno)
+    if failed < len(results):
+        raise results[failed][1]
+    scores = np.array([outcome for _, outcome, _ in results]).reshape(len(grid), folds)
     means = scores.mean(axis=1)
-    best = 0
-    for i in range(1, len(grid)):
-        if means[i] < means[best] or (means[i] == means[best] and grid[i] > grid[best]):
-            best = i
+    best = max(range(len(grid)), key=lambda i: (-means[i], grid[i]))
     return grid[best], scores
 
 
@@ -505,13 +498,16 @@ def _run_cv_jobs(inputs, jobs):
     """Run (grid index, fold) jobs in worker interpreters; results in job order.
 
     The jobs are dealt round-robin to min(#jobs, usable CPUs) fresh
-    ``python -c`` interpreters that import this copy of tnbs. Each reads its
-    share of ``inputs`` pickled on stdin and answers as ``_cv_worker`` says.
-    multiprocessing is not used: spawn and forkserver re-import the caller's
-    ``__main__``, which breaks unguarded scripts, and fork inherits its BLAS
-    threads. Every worker is killed and reaped before returning.
+    ``python -c`` interpreters that import this copy of tnbs. Each answers as
+    ``_cv_worker`` says, reading its share of ``inputs`` pickled in an unlinked
+    temporary file as stdin: unlike a pipe, a file needs no feeding order and
+    cannot break when a worker dies first. multiprocessing is not used: spawn
+    and forkserver re-import the caller's ``__main__``, which breaks unguarded
+    scripts, and fork inherits its BLAS threads. Every worker is killed and
+    reaped before returning.
     """
     import subprocess
+    import tempfile
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n_workers = min(len(jobs), cpus or 1)
@@ -520,19 +516,13 @@ def _run_cv_jobs(inputs, jobs):
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     procs = []
     try:
-        for _ in range(n_workers):
-            procs.append(subprocess.Popen(
-                [sys.executable, "-c", "from tnbs.solver import _cv_worker; _cv_worker()"],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env))
-        # A worker reads all of its input before it writes any output, and its
-        # stderr is the caller's, so feeding the workers one after the other
-        # cannot deadlock on a full pipe.
-        for w, proc in enumerate(procs):
-            try:
-                proc.stdin.write(pickle.dumps((*inputs, jobs[w::n_workers], os.getpid())))
-                proc.stdin.close()
-            except BrokenPipeError:
-                pass  # the worker is gone; its exit code is reported below
+        for w in range(n_workers):
+            with tempfile.TemporaryFile() as share:
+                pickle.dump((*inputs, jobs[w::n_workers], os.getpid()), share)
+                share.seek(0)
+                procs.append(subprocess.Popen(
+                    [sys.executable, "-c", "from tnbs.solver import _cv_worker; _cv_worker()"],
+                    stdin=share, stdout=subprocess.PIPE, env=env))
         results = []
         for proc in procs:
             out = proc.stdout.read()
@@ -546,10 +536,6 @@ def _run_cv_jobs(inputs, jobs):
             proc.kill()
             proc.wait()
             proc.stdout.close()
-            try:
-                proc.stdin.close()
-            except BrokenPipeError:
-                pass
     return sorted(results, key=lambda r: r[0])
 
 
@@ -582,9 +568,8 @@ def _cv_worker():
                 outcome = rmse(scaling.unscale_y(targets[blocks[fi]]), pred)
             except Exception as exc:
                 outcome = exc
-        seen = dict.fromkeys((w.category, str(w.message), w.filename, w.lineno)
-                             for w in caught)
-        results.append(((li, fi), outcome, list(seen)))
+        results.append(((li, fi), outcome,
+                        [(w.category, str(w.message), w.filename, w.lineno) for w in caught]))
         if isinstance(outcome, Exception):
             break
     out.write(pickle.dumps(results))
