@@ -105,10 +105,19 @@ class Scaling:
         return self.y_min + np.asarray(v, dtype=float) * (self.y_max - self.y_min)
 
 
-def _as_signal(v, name: str) -> np.ndarray:
+def _as_1d(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be a one-dimensional signal")
+    return v
+
+
+def _as_signal(v, name: str) -> np.ndarray:
+    """A one-dimensional signal of finite samples; the first bad one is named."""
+    v = _as_1d(v, name)
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"{name} sample {bad[0]} is not finite: {v[bad[0]]}")
     return v
 
 
@@ -141,9 +150,12 @@ def build_regressors(u, y, lags: LagSpec, scaling: Scaling):
 
 
 def rmse(y, yhat) -> float:
-    """Root mean squared error, in whatever units the arguments carry."""
-    y = _as_signal(y, "y")
-    yhat = _as_signal(yhat, "yhat")
+    """Root mean squared error, in whatever units the arguments carry.
+
+    Non-finite values are not rejected: they give a NaN or infinite error.
+    """
+    y = _as_1d(y, "y")
+    yhat = _as_1d(yhat, "yhat")
     if len(y) != len(yhat):
         raise ValueError(f"length mismatch: {len(y)} vs {len(yhat)}")
     if len(y) == 0:
@@ -238,9 +250,6 @@ class TnbsModel:
         """
         u = _as_signal(u, "u")
         y_warmup = _as_signal(y_warmup, "y_warmup")
-        bad = np.flatnonzero(~np.isfinite(y_warmup))
-        if bad.size:
-            raise ValueError(f"y_warmup sample {bad[0]} is not finite: {y_warmup[bad[0]]}")
         t0 = len(y_warmup)
         if t0 < self.lags.max_output_lag:
             raise ValueError(

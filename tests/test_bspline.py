@@ -127,6 +127,15 @@ class TestBasisRows:
         rows = basis_rows(make_basis(3, 7), rng.random(100))
         assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("xs, message", [
+        (np.zeros((2, 1)), "one-dimensional array of evaluation points"),
+        (np.array([0.5, np.nan]), "evaluation points must be finite"),
+        (np.array([np.inf]), "evaluation points must be finite"),
+    ], ids=["column", "nan", "inf"])
+    def test_bad_points_rejected(self, xs, message):
+        with pytest.raises(ValueError, match=message):
+            basis_rows(make_basis(2, 6), xs)
+
 
 @pytest.mark.parametrize("rho,m", CONFIGS)
 def test_partition_of_unity(rho, m):

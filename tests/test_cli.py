@@ -54,7 +54,7 @@ def test_fit_predict_simulate_cycle(dataset, tmp_path):
     code = main(["fit", "--data", dataset + "_est.csv", "--out", model_path,
                  "--report", report_path, "--lam", "0", "--seed", "0"] + FIT_ARGS)
     assert code == 0
-    report = json.loads(open(report_path).read())
+    report = json.loads(Path(report_path).read_text())
     assert report["command"] == "fit"
     assert report["parameter_count"] == 1 * 4 * 2 + 2 * 4 * 2 + 2 * 4 * 1
     assert report["train_rmse"] < 0.05
@@ -66,7 +66,7 @@ def test_fit_predict_simulate_cycle(dataset, tmp_path):
     code = main(["predict", "--model", model_path, "--data", dataset + "_test.csv",
                  "--report", pred_report, "--out", out_csv])
     assert code == 0
-    pr = json.loads(open(pred_report).read())
+    pr = json.loads(Path(pred_report).read_text())
     assert pr["samples"] == 200 - 2
     with open(out_csv) as fh:
         lines = fh.read().strip().splitlines()
@@ -78,7 +78,7 @@ def test_fit_predict_simulate_cycle(dataset, tmp_path):
     code = main(["simulate", "--model", model_path, "--data", dataset + "_test.csv",
                  "--report", sim_report])
     assert code == 0
-    sr = json.loads(open(sim_report).read())
+    sr = json.loads(Path(sim_report).read_text())
     assert sr["samples"] == 200 - 2
     assert np.isfinite(sr["rmse"])
     # one-step prediction is at least as accurate as free-run simulation here
@@ -106,7 +106,7 @@ def test_cv_table(dataset, tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "chosen lambda" in out
-    report = json.loads(open(report_path).read())
+    report = json.loads(Path(report_path).read_text())
     assert len(report["scores"]) == 2
     assert all(len(row) == 2 for row in report["scores"])
     assert report["chosen_lambda"] in (0.0, 0.01)
@@ -232,11 +232,66 @@ def test_non_finite_model_value_exits_2(dataset, tmp_path, capsys):
     assert str(model_path) in capsys.readouterr().err
 
 
-def test_wrong_header_rejected(tmp_path):
+def test_wrong_header_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n0.1,0.2\n")
-    code = main(["predict", "--model", "x.json", "--data", str(bad)])
+    code = main(["fit", "--data", str(bad), "--out", str(tmp_path / "m.json")])
     assert code == 2
+    assert f"{bad}: row 1: expected header 'u,y'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("u,y\n0.1,0.2\n0.3,0.4,0.5\n", "row 3: expected 2 columns, got 3"),
+    ("u,y\n", "no data rows"),
+], ids=["three-columns", "header-only"])
+def test_bad_csv_layout_exits_2(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    code = main(["fit", "--data", str(bad), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert f"{bad}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_blank_csv_line_skipped(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("u,y\n0.1,0.2\n\n0.3,0.4\n")
+    u, y = read_signal_csv(path)
+    assert u.tolist() == [0.1, 0.3]
+    assert y.tolist() == [0.2, 0.4]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lags-u", "1,x", "expected comma-separated integers, got '1,x'"),
+    ("--lam", "0.1,x", "expected comma-separated numbers, got '0.1,x'"),
+], ids=["lags", "lambda"])
+def test_bad_list_option_exits_2(tmp_path, capsys, flag, value, message):
+    with pytest.raises(SystemExit) as info:
+        main(["fit", "--data", str(tmp_path / "unread.csv"), flag, value])
+    assert info.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+def test_simulate_on_data_within_largest_lag_exits_2(dataset, tmp_path, capsys):
+    # The dataset's true model has largest lag 2, so two rows leave nothing to simulate.
+    short = tmp_path / "short.csv"
+    short.write_text("u,y\n0.1,0.2\n0.3,0.4\n")
+    code = main(["simulate", "--model", dataset + "_true_model.json", "--data", str(short)])
+    assert code == 2
+    assert "data of length 2 is too short for maximum lag 2" in capsys.readouterr().err
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_numerical_failure_exits_3_without_model(tmp_path, capsys):
+    # Unscaled outputs of +-1e308 overflow the normal equations.
+    path = tmp_path / "huge.csv"
+    write_signal_csv(path, np.random.default_rng(0).random(60),
+                     np.where(np.arange(60) % 2, 1e308, -1e308))
+    code = main(["fit", "--data", str(path), "--out", str(tmp_path / "m.json"),
+                 "--scaling", "unit"])
+    assert code == 3
+    assert "numerical failure: non-finite core solve" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_csv_with_byte_order_mark(tmp_path):

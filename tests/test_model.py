@@ -238,6 +238,20 @@ class TestPredictSimulate:
         with pytest.raises(ValueError):
             model.simulate(np.zeros(10), np.zeros(1))
 
+    def test_warmup_must_cover_input_lags(self):
+        model = constant_model(3, 0.4, lags=LagSpec((1, 3), (1,)))
+        with pytest.raises(ValueError, match="2 samples does not cover the largest input lag 3"):
+            model.simulate(np.zeros(10), np.zeros(2))
+
+    def test_non_finite_input_named(self):
+        model = constant_model(3, 0.4, lags=LagSpec((0, 1), (1,)))
+        u = np.zeros(10)
+        u[7] = np.inf
+        with pytest.raises(ValueError, match=r"^u sample 7 is not finite: inf$"):
+            model.predict(u, np.zeros(10))
+        with pytest.raises(ValueError, match=r"^u sample 7 is not finite: inf$"):
+            model.simulate(u, np.zeros(1))
+
     @pytest.mark.parametrize("lags", FREE_RUN_LAYOUTS, ids=FREE_RUN_LAYOUT_IDS)
     def test_simulate_matches_row_by_row_oracle(self, lags):
         rng = np.random.default_rng(3)
@@ -275,7 +289,8 @@ class TestPredictSimulate:
         (np.zeros((2, 3)), "y_warmup must be a one-dimensional signal"),
         (0.5, "y_warmup must be a one-dimensional signal"),
         (np.array([0.2, np.nan]), "y_warmup sample 1 is not finite"),
-    ], ids=["column", "matrix", "scalar", "nan"])
+        (np.zeros(11), "warmup longer than the input signal"),
+    ], ids=["column", "matrix", "scalar", "nan", "longer-than-input"])
     def test_bad_warmup_rejected_by_name(self, y_warmup, message):
         model = constant_model(2, 0.4, lags=LagSpec((0,), (1,)))
         with pytest.raises(ValueError, match=message):
@@ -440,6 +455,13 @@ def test_model_weight_shape_validation():
     with pytest.raises(ValueError):
         TnbsModel(basis=basis, lags=LagSpec((0,), ()), weights=TensorTrain(cores),
                   scaling=Scaling.identity())
+
+
+def test_model_core_count_must_match_lags():
+    cores = (np.ones((1, 4, 1)),) * 2
+    with pytest.raises(ValueError, match="has 2 cores but the lag structure needs 3"):
+        TnbsModel(basis=make_basis(2, 6), lags=LagSpec((0, 1), (1,)),
+                  weights=TensorTrain(cores), scaling=Scaling.identity())
 
 
 def test_evaluation_cost_roughly_linear_in_dimension():

@@ -391,6 +391,14 @@ class TestUpdateCore:
         with pytest.raises(NumericalError):
             update_core(a, np.zeros(4), [], [])
 
+    @pytest.mark.parametrize("rows, penalties, message", [
+        (3, 1, r"design matrix rows \(3\) must match targets \(4\)"),
+        (4, 2, "one penalty weight per penalty matrix"),
+    ], ids=["rows", "penalties"])
+    def test_shape_mismatch_rejected(self, rows, penalties, message):
+        with pytest.raises(ValueError, match=message):
+            update_core(np.eye(rows, 2), np.zeros(4), [np.eye(2)] * penalties, [0.1])
+
 
 def small_problem(seed, n_samples=260, lam=0.0, alpha=1, sweeps=6, fit_seed=0,
                   epsilon=0.0):
@@ -613,6 +621,22 @@ class TestAlsFit:
             als_fit(np.zeros(3), np.zeros(3), LagSpec((1,), (1, 4)),
                     make_basis(2, 6), cfg, scaling=Scaling.identity())
 
+    @pytest.mark.parametrize("name, index, value, scaling", [
+        ("y", 5, np.nan, None),
+        ("y", 5, np.nan, Scaling.identity()),
+        ("u", 7, np.inf, Scaling.identity()),
+        ("y", -1, np.nan, Scaling.identity()),
+    ], ids=["data-scaling", "identity-scaling", "infinite-input", "last-target"])
+    def test_non_finite_sample_named(self, name, index, value, scaling):
+        # Named before scaling or fitting: not as non-finite scaling bounds or
+        # evaluation points, and not as a numerical failure of the solve.
+        data, spec, basis, cfg = small_problem(seed=17, sweeps=1)
+        signals = {"u": data.u_est.copy(), "y": data.y_est.copy()}
+        signals[name][index] = value
+        at = range(len(signals[name]))[index]
+        with pytest.raises(ValueError, match=rf"^{name} sample {at} is not finite: {value}$"):
+            als_fit(signals["u"], signals["y"], spec.lags, basis, cfg, scaling=scaling)
+
     def test_degenerate_scaling(self):
         cfg = FitConfig(ranks=2, max_sweeps=1)
         u = np.random.default_rng(0).random(50)
@@ -798,6 +822,41 @@ class TestCrossValidation:
             cross_validate_lambda(data.u_est[:20], data.y_est[:20], spec.lags,
                                   basis, cfg, [0.1], 50, scaling=Scaling.identity())
 
+    @pytest.mark.parametrize("grid, means, chosen", [
+        ([0.1, 0.3, 0.5], [2.0, 1.0, 1.5], 0.3),
+        ([0.1, 0.3], [1.0, 1.0], 0.3),
+        ([0.3, 0.1], [1.0, 1.0], 0.3),
+    ], ids=["later-lower-mean", "tie-ascending", "tie-descending"])
+    def test_winner_rule(self, monkeypatch, grid, means, chosen):
+        # Crafted worker results: the lowest mean wins, an exact tie goes to
+        # the larger value.
+        def crafted(inputs, jobs):
+            return [((li, fi), means[li] + 0.25 * (2 * fi - 1), []) for li, fi in jobs]
+
+        monkeypatch.setattr(tnbs.solver, "_run_cv_jobs", crafted)
+        data, spec, basis, cfg = small_problem(seed=13)
+        best, scores = cross_validate_lambda(data.u_est, data.y_est, spec.lags, basis, cfg,
+                                             grid, 2)
+        assert best == chosen
+        assert scores.mean(axis=1).tolist() == means
+
+    def test_warnings_issued_once_up_to_first_failure(self, monkeypatch):
+        here = (UserWarning, "here", "f.py", 1)
+        later = (UserWarning, "later", "f.py", 2)
+
+        def crafted(inputs, jobs):
+            return [((0, 0), 1.0, [here, here]), ((0, 1), NumericalError("failed"), [here]),
+                    ((1, 0), 1.0, [later]), ((1, 1), 1.0, [later])]
+
+        monkeypatch.setattr(tnbs.solver, "_run_cv_jobs", crafted)
+        data, spec, basis, cfg = small_problem(seed=13)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError, match="failed"):
+                cross_validate_lambda(data.u_est, data.y_est, spec.lags, basis, cfg,
+                                      [0.0, 0.1], 2)
+        assert [str(w.message) for w in caught] == ["here"]
+
     @pytest.mark.parametrize("change,grid,folds,match", [
         ({}, [0.1, -1.0], 3, r"-1\.0 at position 1"),
         ({}, [0.1, np.nan], 3, r"nan at position 1"),
@@ -941,7 +1000,8 @@ print("chosen", best, scores.shape)
 def test_unguarded_script_runs_cross_validation(tmp_path):
     # No __main__ guard: a worker that re-imported the caller's script, as
     # multiprocessing's spawn does, would run the CV again in every worker.
-    # 4000 rows of inputs also exceed a 64 KiB pipe buffer.
+    # 4000 rows of inputs also exceed a 64 KiB pipe buffer, the size at which
+    # feeding workers through pipes could block.
     script = tmp_path / "cv_script.py"
     script.write_text(UNGUARDED_SCRIPT, encoding="utf-8")
     src = str(Path(tnbs.__file__).resolve().parents[1])
@@ -968,7 +1028,8 @@ def test_worker_exception_reaches_caller_and_no_worker_outlives(monkeypatch, tmp
 
 def test_worker_death_names_exit_code(monkeypatch, tmp_path):
     # The worker dies before reading its input, which is larger than a pipe
-    # buffer, so feeding it meets a broken pipe.
+    # buffer: were it fed through a pipe, writing to it would meet a broken
+    # pipe.
     write_sitecustomize(monkeypatch, tmp_path, "import os\nos._exit(3)\n")
     launched = record_launches(monkeypatch)
     data, spec, basis, cfg = small_problem(seed=15, n_samples=4000)

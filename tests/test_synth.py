@@ -163,6 +163,10 @@ class TestDataset:
         with pytest.raises(ValueError):
             SynthSpec(smoothing_window=2)
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="need at least one sample"):
+            SynthSpec(n_samples=0)
+
     @pytest.mark.parametrize("field_name,value", [
         ("n_samples", 2500.5), ("n_samples", np.nan), ("smoothing_window", 3.5),
         ("smoothing_window", np.inf), ("seed", 0.5), ("seed", "0"),

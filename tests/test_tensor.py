@@ -84,6 +84,17 @@ class TestTrainInvariants:
         with pytest.raises(ValueError):
             TensorTrain((np.zeros((1, 3, 2)), np.zeros((3, 3, 1))))
 
+    @pytest.mark.parametrize("cores, site, message", [
+        ((), None, "at least one core"),
+        ((np.zeros((1, 3)),), None, r"core 0 must be third-order, got shape \(1, 3\)"),
+        ((np.zeros((1, 3, 2)),), None, "last rank must be 1, got 2"),
+        ((np.zeros((1, 3, 1)),), 1, "canonical site 1 out of range"),
+        ((np.zeros((1, 3, 1)),), -1, "canonical site -1 out of range"),
+    ], ids=["no-cores", "second-order", "last-rank", "site-past-end", "negative-site"])
+    def test_malformed_train_rejected(self, cores, site, message):
+        with pytest.raises(ValueError, match=message):
+            TensorTrain(cores, canonical_site=site)
+
     def test_ranks_and_shape(self):
         tt = random_tt(np.random.default_rng(5), (3, 4, 2), (2, 3))
         assert tt.ranks == (1, 2, 3, 1)
