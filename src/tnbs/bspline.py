@@ -1,13 +1,13 @@
 """Uniform B-spline bases on the unit interval.
 
-A basis of degree ``rho`` on the knot sequence t_0 < ... < t_m has
-k = m - rho member functions. Knots are placed uniformly so that the natural
-domain [t_rho, t_{m-rho}] — where the basis sums to one — is exactly [0, 1].
-Evaluation uses the Cox-de Boor recursion on tables that ``BasisConfig``
-builds once from its knots: indicator bounds with the last natural interval
-closed, and per degree step the knot and span slices. A config accepts only
-finite, strictly increasing knots, so no span is zero and the recursion needs
-no zero-span guards.
+A basis of degree ``rho`` and knot parameter m > 2*rho has the m + 1 uniform
+knots t_i = (i - rho) / (m - 2*rho) and k = m - rho member functions. The
+natural domain [t_rho, t_{m-rho}], where the basis sums to one, is exactly
+[0, 1]. Evaluation uses the Cox-de Boor recursion on tables that
+``BasisConfig`` builds once from its knots: indicator bounds with the last
+natural interval closed, and per degree step the knot and span slices. The
+knots are uniform, so no span is zero and the recursion needs no zero-span
+guards.
 
 The recursion has two evaluators. ``basis_rows`` runs it on whole arrays of
 points, which is what fitting and prediction need. ``eval_basis`` runs it at
@@ -28,11 +28,13 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class BasisConfig:
-    """Degree, knot sequence t_0..t_m and derived basis size k = m - degree.
+    """The uniform basis of a degree and knot parameter m, with k = m - degree functions.
 
-    The knots must be m + 1 finite, strictly increasing values with
-    t_degree = 0 and t_{m-degree} = 1, the domain the evaluator clips to. The
-    evaluation tables are derived from them on construction: ``lo``/``hi``
+    The degree and m are integers with 0 <= degree and m > 2*degree, so the
+    natural domain does not collapse. Everything else is derived on
+    construction: the knots t_i = (i - degree) / (m - 2*degree), i = 0..m,
+    which put the natural domain [t_degree, t_{m-degree}] at [0, 1], the
+    domain the evaluator clips to, and the evaluation tables. ``lo``/``hi``
     bound the degree-0 indicators, and ``steps`` holds, per degree q, the
     slices (t_j, t_{j+q} - t_j, t_{j+q+1}, t_{j+q+1} - t_{j+1}) that the
     Cox-de Boor step q uses. ``point_lo`` and ``point_steps`` hold the same
@@ -41,7 +43,7 @@ class BasisConfig:
 
     degree: int
     knot_param: int
-    knots: np.ndarray
+    knots: np.ndarray = field(init=False, repr=False)
     lo: np.ndarray = field(init=False, repr=False)
     hi: np.ndarray = field(init=False, repr=False)
     steps: tuple = field(init=False, repr=False)
@@ -49,23 +51,13 @@ class BasisConfig:
     point_steps: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self.knots, dtype=float)
-        m, rho = self.knot_param, self.degree
-        if not 0 <= rho < m - rho:
+        rho = _as_int(self.degree, "degree")
+        m = _as_int(self.knot_param, "knot parameter")
+        if rho < 0:
+            raise ValueError(f"degree must be non-negative, got {rho}")
+        if m <= 2 * rho:
             raise ValueError(f"degree {rho} needs a knot parameter above {2 * rho}, got {m}")
-        if t.shape != (m + 1,):
-            raise ValueError(f"need {m + 1} knots for knot parameter {m}, got shape {t.shape}")
-        bad = np.flatnonzero(~np.isfinite(t))
-        if bad.size:
-            raise ValueError(f"knot {bad[0]} is not finite: {t[bad[0]]:g}")
-        bad = np.flatnonzero(np.diff(t) <= 0)
-        if bad.size:
-            j = bad[0] + 1
-            raise ValueError(f"knots must be strictly increasing: knot {j} ({t[j]:g}) "
-                             f"does not exceed knot {j - 1} ({t[j - 1]:g})")
-        if t[rho] != 0.0 or t[m - rho] != 1.0:
-            raise ValueError(f"knots {rho} and {m - rho} must bound the natural domain "
-                             f"[0, 1], got [{t[rho]:g}, {t[m - rho]:g}]")
+        t = (np.arange(m + 1, dtype=float) - rho) / (m - 2 * rho)
         # The natural domain ends at t_{m-rho} = 1: its last interval is
         # closed on the right and no interval starts at or beyond it, so x = 1
         # falls in interval m - rho - 1 alone (the left limit).
@@ -76,6 +68,8 @@ class BasisConfig:
         for q in range(1, rho + 1):
             span = t[q:] - t[:-q]
             steps.append((t[: m - q], span[: m - q], t[q + 1:], span[1: m + 1 - q]))
+        object.__setattr__(self, "degree", rho)
+        object.__setattr__(self, "knot_param", m)
         object.__setattr__(self, "knots", t)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -100,23 +94,8 @@ def _as_int(value, what: str) -> int:
 
 
 def make_basis(degree: int, knot_param: int) -> BasisConfig:
-    """Build the uniform basis whose natural domain is [0, 1].
-
-    ``knot_param`` is m: the knot sequence has m + 1 knots, placed at
-    t_i = (i - degree) / (m - 2*degree). Requires m > 2*degree so the natural
-    domain does not collapse.
-    """
-    degree = _as_int(degree, "degree")
-    knot_param = _as_int(knot_param, "knot parameter")
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
-    if knot_param <= 2 * degree:
-        raise ValueError(
-            f"knot parameter must exceed twice the degree: got m={knot_param}, degree={degree}"
-        )
-    i = np.arange(knot_param + 1, dtype=float)
-    knots = (i - degree) / (knot_param - 2 * degree)
-    return BasisConfig(degree=degree, knot_param=knot_param, knots=knots)
+    """The uniform basis of this degree and knot parameter; see ``BasisConfig``."""
+    return BasisConfig(degree, knot_param)
 
 
 def basis_rows(cfg: BasisConfig, xs) -> np.ndarray:

@@ -83,8 +83,8 @@ class Scaling:
 
     @classmethod
     def fit(cls, u, y) -> "Scaling":
-        u = np.asarray(u, dtype=float)
-        y = np.asarray(y, dtype=float)
+        u = _as_signal(u, "u")
+        y = _as_signal(y, "y")
         return cls(
             u_min=float(u.min()), u_max=float(u.max()),
             y_min=float(y.min()), y_max=float(y.max()),

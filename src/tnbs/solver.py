@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bspline import BasisConfig, _as_int, basis_rows, out_of_domain_count
-from .model import LagSpec, Scaling, TnbsModel, build_regressors, rmse, _as_signal
+from .model import LagSpec, Scaling, TnbsModel, build_regressors, rmse
 from .tensor import (
     TensorTrain, orthogonalize_to_site, _fold_left, _normalize_rank_caps, _qr_shift, _walk,
 )
@@ -124,6 +124,8 @@ class SweepTrace:
 
 def difference_matrix(k: int, alpha: int) -> np.ndarray:
     """(k - alpha) x k matrix taking alpha-th order adjacent differences."""
+    k = _as_int(k, "weight count k")
+    alpha = _as_int(alpha, "difference order alpha")
     if alpha < 0:
         raise ValueError("difference order must be non-negative")
     if alpha >= k:
@@ -343,8 +345,6 @@ def als_fit(u, y, lags: LagSpec, basis: BasisConfig, cfg: FitConfig,
     unfoldings cannot carry are swept at their bound and the returned weights
     zero-padded to them. Returns the fitted model and the sweep trace.
     """
-    u = _as_signal(u, "u")
-    y = _as_signal(y, "y")
     if scaling is None:
         scaling = Scaling.fit(u, y)
     x_rows, targets, _ = build_regressors(u, y, lags, scaling)
@@ -435,8 +435,9 @@ def cross_validate_lambda(u, y, lags, basis, cfg, lambda_grid, folds: int,
     The lagged sample range is split into ``folds`` contiguous blocks
     (time-series aware). Every grid value is scored by one-step prediction
     RMSE (original units) on each held-out block; the winner minimizes the
-    mean, with ties going to the larger value. Returns (best_lambda, scores)
-    where scores has shape (len(grid), folds).
+    mean, with a NaN or infinite mean ranked as +inf and ties going to the
+    larger value. Returns (best_lambda, scores) where scores has shape
+    (len(grid), folds).
 
     Every grid value and the ranks and penalty order are checked before any
     fit starts. The (grid value, fold) fits run in up to one worker process
@@ -451,8 +452,6 @@ def cross_validate_lambda(u, y, lags, basis, cfg, lambda_grid, folds: int,
     if folds < 2:
         raise ValueError("cross-validation needs at least 2 folds")
     cfgs = _grid_configs(cfg, grid, lags.dimension, basis.basis_count)
-    u = _as_signal(u, "u")
-    y = _as_signal(y, "y")
     if scaling is None:
         scaling = Scaling.fit(u, y)
     x_rows, targets, _ = build_regressors(u, y, lags, scaling)
@@ -469,7 +468,7 @@ def cross_validate_lambda(u, y, lags, basis, cfg, lambda_grid, folds: int,
     if failed < len(results):
         raise results[failed][1]
     scores = np.array([outcome for _, outcome, _ in results]).reshape(len(grid), folds)
-    means = scores.mean(axis=1)
+    means = np.nan_to_num(scores.mean(axis=1), nan=np.inf, posinf=np.inf)
     best = max(range(len(grid)), key=lambda i: (-means[i], grid[i]))
     return grid[best], scores
 

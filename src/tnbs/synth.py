@@ -94,6 +94,7 @@ def generate_input(n: int, window: int = 5, seed=0) -> np.ndarray:
 
 def generate_output(true_model: TnbsModel, u, warmup_zeros: int) -> np.ndarray:
     """Run the system recursively from a zero warmup; returns the full signal."""
+    warmup_zeros = _as_int(warmup_zeros, "warmup_zeros")
     if warmup_zeros < true_model.lags.max_output_lag:
         raise ValueError(
             f"warmup of {warmup_zeros} zeros does not cover the largest output lag "
@@ -139,6 +140,7 @@ def make_dataset(spec: SynthSpec, snr_db: float = np.inf,
     and the test portion stays noiseless. All randomness flows from the spec
     seed.
     """
+    n_estimation = _as_int(n_estimation, "n_estimation")
     if not 0 < n_estimation < spec.n_samples:
         raise ValueError(
             f"estimation split {n_estimation} must lie inside the {spec.n_samples} samples"

@@ -195,40 +195,24 @@ def test_rows_bitwise_equal_guarded_oracle(rho, m):
 
 
 class TestBasisConfigKnots:
-    def test_repeated_knot_rejected(self):
-        knots = np.array([-1.0, 0.0, 0.5, 0.5, 1.0, 2.0])
-        with pytest.raises(ValueError, match="knot 3"):
-            BasisConfig(degree=1, knot_param=5, knots=knots)
-
-    def test_decreasing_knot_rejected(self):
-        with pytest.raises(ValueError, match="knot 2"):
-            BasisConfig(degree=0, knot_param=3, knots=np.array([0.0, 0.6, 0.4, 1.0]))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_knot_rejected(self, bad):
-        knots = np.array([0.0, 0.5, 1.0])
-        knots[1] = bad
-        with pytest.raises(ValueError, match="knot 1"):
-            BasisConfig(degree=0, knot_param=2, knots=knots)
-
-    def test_wrong_knot_count_rejected(self):
-        with pytest.raises(ValueError, match="need 4 knots"):
-            BasisConfig(degree=0, knot_param=3, knots=np.array([0.0, 0.5, 1.0]))
+    def test_knots_are_derived_not_given(self):
+        with pytest.raises(TypeError):
+            BasisConfig(degree=1, knot_param=4, knots=np.linspace(-0.5, 1.5, 5))
+        cfg = BasisConfig(2.0, np.int64(6))
+        assert (cfg.degree, cfg.knot_param) == (2, 6)
+        assert all(type(v) is int for v in (cfg.degree, cfg.knot_param))
+        assert np.array_equal(cfg.knots, make_basis(2, 6).knots)
 
     def test_natural_domain_must_be_unit_interval(self):
-        with pytest.raises(ValueError, match=r"knots 0 and 2"):
-            BasisConfig(degree=0, knot_param=2, knots=np.array([0.0, 2.0, 4.0]))
-        with pytest.raises(ValueError, match=r"knots 1 and 3"):
-            BasisConfig(degree=1, knot_param=4, knots=np.array([-1.0, 0.1, 0.5, 1.0, 2.0]))
+        for rho in range(5):
+            for m in range(2 * rho + 1, 2 * rho + 14):
+                t = BasisConfig(rho, m).knots
+                assert t.shape == (m + 1,)
+                assert (t[rho], t[m - rho]) == (0.0, 1.0)
+                assert np.all(np.diff(t) > 0)
 
     def test_degree_must_fit_knot_param(self):
-        with pytest.raises(ValueError, match="degree 2"):
-            BasisConfig(degree=2, knot_param=4, knots=np.linspace(-1.0, 2.0, 5))
-        with pytest.raises(ValueError, match="degree -1"):
-            BasisConfig(degree=-1, knot_param=2, knots=np.array([0.0, 0.5, 1.0]))
-
-    def test_hand_built_equals_make_basis(self):
-        cfg = make_basis(2, 6)
-        hand = BasisConfig(degree=2, knot_param=6, knots=list(cfg.knots))
-        xs = np.linspace(-0.1, 1.1, 61)
-        assert np.array_equal(basis_rows(hand, xs), basis_rows(cfg, xs))
+        with pytest.raises(ValueError, match="degree 2 needs a knot parameter above 4, got 4"):
+            BasisConfig(2, 4)
+        with pytest.raises(ValueError, match="degree must be non-negative, got -1"):
+            BasisConfig(-1, 2)

@@ -185,6 +185,15 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: tnbs {shlex.join(argv)}")
 
 
+def test_readme_library_example_runs(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    errors = [float(v) for v in re.findall(r"^(?:one-step|free-run) rmse: (\S+)$", out, re.M)]
+    assert len(errors) == 2, out
+    assert all(np.isfinite(e) and e < 0.05 for e in errors), out
+
+
 def test_repeated_main_leaves_no_parser_garbage(tmp_path):
     # In-process callers run main many times; a parser built per call leaves
     # its argparse objects in reference cycles until a full collection.

@@ -101,6 +101,14 @@ class TestScaling:
         with pytest.raises(ValueError):
             Scaling.fit([0.0, 1.0], [2.0, 2.0])
 
+    @pytest.mark.parametrize("u,y,match", [
+        ([0.0, np.nan], [0.0, 1.0], "u sample 1 is not finite: nan"),
+        ([0.0, 1.0], [-np.inf, 1.0], "y sample 0 is not finite: -inf"),
+    ], ids=["u-nan", "y-minus-inf"])
+    def test_non_finite_sample_named(self, u, y, match):
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            Scaling.fit(u, y)
+
     def test_non_finite_bounds_rejected(self):
         for bounds in ((0.0, np.inf, 0.0, 1.0), (-np.inf, 1.0, 0.0, 1.0),
                        (0.0, 1.0, np.nan, 1.0), (0.0, 1.0, 0.0, np.inf)):

@@ -63,6 +63,13 @@ class TestDifferenceMatrix:
         with pytest.raises(ValueError):
             difference_matrix(3, 3)
 
+    def test_integral_float_arguments_accepted(self):
+        assert np.array_equal(difference_matrix(4.0, 2.0), difference_matrix(4, 2))
+        with pytest.raises(ValueError, match=r"order alpha must be an integer, got 1\.5"):
+            difference_matrix(4, 1.5)
+        with pytest.raises(ValueError, match=r"weight count k must be an integer, got 4\.5"):
+            difference_matrix(4.5, 1)
+
 
 class TestDensePenalty:
     def test_constant_tensor_is_smooth(self):
@@ -826,10 +833,17 @@ class TestCrossValidation:
         ([0.1, 0.3, 0.5], [2.0, 1.0, 1.5], 0.3),
         ([0.1, 0.3], [1.0, 1.0], 0.3),
         ([0.3, 0.1], [1.0, 1.0], 0.3),
-    ], ids=["later-lower-mean", "tie-ascending", "tie-descending"])
+        ([0.1, 0.3], [np.nan, 1.0], 0.3),
+        ([0.1, 0.3], [1.0, np.nan], 0.1),
+        ([0.1, 0.3, 0.5], [2.0, np.nan, 1.0], 0.5),
+        ([0.1, 0.3], [np.inf, 1.0], 0.3),
+        ([0.1, 0.3], [np.nan, np.inf], 0.3),
+    ], ids=["later-lower-mean", "tie-ascending", "tie-descending", "nan-first", "nan-last",
+            "nan-between", "inf-first", "nan-inf-tie"])
     def test_winner_rule(self, monkeypatch, grid, means, chosen):
-        # Crafted worker results: the lowest mean wins, an exact tie goes to
-        # the larger value.
+        # Crafted worker results: the lowest mean wins, a NaN or infinite
+        # mean ranks as +inf, and an exact tie goes to the larger value. The
+        # returned scores keep the non-finite values.
         def crafted(inputs, jobs):
             return [((li, fi), means[li] + 0.25 * (2 * fi - 1), []) for li, fi in jobs]
 
@@ -838,7 +852,7 @@ class TestCrossValidation:
         best, scores = cross_validate_lambda(data.u_est, data.y_est, spec.lags, basis, cfg,
                                              grid, 2)
         assert best == chosen
-        assert scores.mean(axis=1).tolist() == means
+        assert np.array_equal(scores.mean(axis=1), means, equal_nan=True)
 
     def test_warnings_issued_once_up_to_first_failure(self, monkeypatch):
         here = (UserWarning, "here", "f.py", 1)

@@ -107,6 +107,14 @@ class TestOutputSignal:
         with pytest.raises(ValueError):
             generate_output(data.true_model, data.u_est, 2)
 
+    def test_integral_float_warmup_accepted(self):
+        spec = SynthSpec(seed=9, n_samples=200)
+        model = make_dataset(spec, snr_db=np.inf, n_estimation=150).true_model
+        u = generate_input(60, seed=1)
+        assert np.array_equal(generate_output(model, u, 4.0), generate_output(model, u, 4))
+        with pytest.raises(ValueError, match=r"warmup_zeros must be an integer, got 4\.5"):
+            generate_output(model, u, 4.5)
+
 
 class TestNoise:
     def test_infinite_snr_identity(self):
@@ -158,6 +166,15 @@ class TestDataset:
     def test_invalid_split(self):
         with pytest.raises(ValueError):
             make_dataset(SynthSpec(seed=0, n_samples=100), n_estimation=100)
+        with pytest.raises(ValueError, match=r"n_estimation must be an integer, got 50\.5"):
+            make_dataset(SynthSpec(seed=0, n_samples=100), n_estimation=50.5)
+
+    def test_integral_float_split_accepted(self):
+        spec = SynthSpec(seed=3, n_samples=300)
+        a = make_dataset(spec, snr_db=20.0, n_estimation=200.0)
+        b = make_dataset(spec, snr_db=20.0, n_estimation=200)
+        assert all(np.array_equal(getattr(a, f), getattr(b, f))
+                   for f in ("u_est", "y_est", "u_test", "y_test"))
 
     def test_window_must_be_odd(self):
         with pytest.raises(ValueError):
