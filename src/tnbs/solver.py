@@ -8,25 +8,27 @@ Kronecker structure. Sweeping keeps the train mixed-canonical at the updated
 core via QR steps, which makes the local objective equal the global one and
 the iteration monotone.
 
-Each step has one implementation, run by the sweep: ``_kron_rows`` builds the
-design rows from the chain fold ``tensor._fold_left``, and ``_add_penalties``
-collapses the penalties onto the updated core from the penalty Gram
-``_gram_left``. Both chains are walked by ``tensor._walk``, which runs a kernel
-on the cores left of the updated core and on the flipped cores right of it,
-and refolds one product at each QR shift (``tensor._qr_shift``), so every
-chain product is computed once per sweep. The Gram walk starts from a 1 x 1
-zero, so a vanishing weight adds exact zeros and no term is ever absent.
-``_solve_core`` makes one LU solve of the normal equations with the ridge
-floor ``_RIDGE`` on their diagonal. The design rows are built with the sample
-index innermost, so every product broadcasts over the n samples, and come out
-in Fortran order; ``_solve_core`` takes every design in that order, so the fit
-and ``update_core`` hand BLAS one layout. The sweep writes every design and
-normal matrix into one workspace per fit, sized for its widest core, since
-arrays of that size allocated per update are handed back to the OS when freed
-and paged in again at the next update. The public ``build_design_matrix``,
-``build_penalty_matrix`` and ``update_core`` are thin views over these
-kernels, the first two over the sweep's two walks started at the site asked
-for, so the checks on them exercise the fit's own path.
+Each core update runs five steps in order: ``_kron_rows`` builds the design
+rows A, A'A is formed, ``_add_penalties`` adds the collapsed penalty matrix P
+onto it, ``_solve_core`` solves (A'A + P + tau I) g = A'y with the ridge
+floor tau = ``_RIDGE``, and the objective (misfit, penalty and tau ||g||^2)
+decides whether g replaces the core: a step that raises it is rejected.
+The design rows come from the chain fold ``tensor._fold_left`` and the
+penalties from the penalty Gram ``_gram_left``. Both chains are walked by
+``tensor._walk``, which runs a kernel on the cores left of the updated core
+and on the flipped cores right of it, and refolds one product at each QR
+shift (``tensor._qr_shift``), so every chain product is computed once per
+sweep. The Gram walk starts from a 1 x 1 zero, so a vanishing weight adds
+exact zeros and no term is ever absent. The design rows are built with the
+sample index innermost, so every product broadcasts over the n samples, and
+come out in Fortran order; ``update_core`` takes an outside design in that
+order too, so the fit and it hand BLAS one layout. The sweep writes every
+design and normal matrix into one workspace per fit, sized for its widest
+core, since arrays of that size allocated per update are handed back to the
+OS when freed and paged in again at the next update. The public
+``build_design_matrix``, ``build_penalty_matrix`` and ``update_core`` are thin
+views over these kernels, the first two over the sweep's two walks started at
+the site asked for, so the checks on them exercise the fit's own path.
 """
 
 from __future__ import annotations
@@ -273,54 +275,39 @@ def build_penalty_matrix(tt: TensorTrain, d_mat: np.ndarray, p: int, j: int) -> 
     return om
 
 
-def _solve_core(a_mat, targets, penalize, penalty_value=None, h=None):
-    """Minimize ||targets - A g||^2 + g'Pg + tau ||g||^2 for one vectorized core.
+def _solve_core(h, rhs):
+    """Solve (H + tau I) g = rhs for one vectorized core; tau goes onto H in place.
 
-    ``penalize(h)`` adds the penalty matrix P to the normal matrix A'A in
-    place, and the ridge floor tau = ``_RIDGE`` goes onto its diagonal, so
-    the one LU solve meets a positive definite system even where P vanishes
-    and A is rank deficient (lambda = 0, dead design columns). That is
-    Tikhonov regularization: where A'A + P is singular, the solution tends to
-    the minimal-norm minimizer as tau goes to 0. A failed or non-finite solve
-    raises ``NumericalError``; there is no second route. Returns
-    (g, objective(g)): the misfit plus ``penalty_value(g)`` plus
-    tau ||g||^2, or None without ``penalty_value``.
-
-    A is taken in Fortran order, which the sweep's design rows already have,
-    so the sweep and ``update_core`` hand BLAS the same layout and a design's
-    memory order cannot change the numbers. A'A is written into ``h`` when
-    given, a C-contiguous square buffer: the sweep passes a view of its
-    per-fit workspace, so no update pages in a fresh normal matrix; the
-    product and its rounding are the same either way.
+    H is the penalized normal matrix A'A + P and rhs is A'y. The ridge floor
+    tau = ``_RIDGE`` on the diagonal makes the one LU solve meet a positive
+    definite system even where P vanishes and A is rank deficient (lambda = 0,
+    dead design columns). That is Tikhonov regularization: where A'A + P is
+    singular, the solution tends to the minimal-norm minimizer as tau goes to
+    0. A failed or non-finite solve raises ``NumericalError``; there is no
+    second route.
     """
-    a_mat = np.asfortranarray(a_mat)
-    if not np.isfinite(a_mat).all() or not np.isfinite(targets).all():
-        raise NumericalError("non-finite values in the least-squares subproblem")
-    h = np.matmul(a_mat.T, a_mat, out=h)
-    penalize(h)
     h.flat[::len(h) + 1] += _RIDGE
     try:
-        g = np.linalg.solve(h, a_mat.T @ targets)
+        g = np.linalg.solve(h, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"core solve failed: {exc}") from None
     if not np.isfinite(g).all():
         raise NumericalError("non-finite core solve")
-    if penalty_value is None:
-        return g, None
-    resid = targets - a_mat @ g
-    return g, float(resid @ resid) + penalty_value(g) + _RIDGE * float(g @ g)
+    return g
 
 
 def update_core(a_mat, targets, penalty_mats, lambdas) -> np.ndarray:
     """Solve the penalized normal equations for one vectorized core.
 
-    Minimizes ||targets - A g||^2 + sum_j lambda_j g' Omega_j g with the
-    fit's core solve: one LU solve of the normal equations with the ridge
-    floor ``_RIDGE`` on their diagonal. On a system that is singular without
-    the floor this is close to the minimal-norm minimizer, the limit of the
-    floored solution as the floor vanishes.
+    Minimizes ||targets - A g||^2 + sum_j lambda_j g' Omega_j g + tau ||g||^2
+    with the fit's core solve: one LU solve of the normal equations with the
+    ridge floor tau = ``_RIDGE`` on their diagonal. On a system that is
+    singular without the floor this is close to the minimal-norm minimizer,
+    the limit of the floored solution as the floor vanishes. The design is
+    taken in Fortran order, the layout of the sweep's design rows, so its
+    memory order cannot change the numbers.
     """
-    a_mat = np.asarray(a_mat, dtype=float)
+    a_mat = np.asfortranarray(a_mat, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if a_mat.ndim != 2 or a_mat.shape[0] != len(targets):
         raise ValueError(
@@ -328,12 +315,12 @@ def update_core(a_mat, targets, penalty_mats, lambdas) -> np.ndarray:
         )
     if len(penalty_mats) != len(lambdas):
         raise ValueError("one penalty weight per penalty matrix is required")
-
-    def penalize(h):
-        for om, lam in zip(penalty_mats, lambdas):
-            h += lam * np.asarray(om, dtype=float)
-
-    return _solve_core(a_mat, targets, penalize)[0]
+    if not np.isfinite(a_mat).all() or not np.isfinite(targets).all():
+        raise NumericalError("non-finite values in the least-squares subproblem")
+    h = a_mat.T @ a_mat
+    for om, lam in zip(penalty_mats, lambdas):
+        h += lam * np.asarray(om, dtype=float)
+    return _solve_core(h, a_mat.T @ targets)
 
 
 def als_fit(u, y, lags: LagSpec, basis: BasisConfig, cfg: FitConfig,
@@ -385,22 +372,22 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
     a_buf, h_buf = np.empty(widest * n), np.empty(widest * widest)
 
     def update(p):
-        shape = cores[p].shape
+        r1, _, r2 = shape = cores[p].shape
         size = cores[p].size
-        pens = lgram[p], lambdas[p], rgram[p]
+        pens = lgram[p], lambdas[p], rgram[p], dmat, shape
         a_mat = _kron_rows(right[p], basis_mats[p], left[p], a_buf[:size * n].reshape(size, n))
-        g, obj = _solve_core(a_mat, targets,
-                             lambda h: _add_penalties(h, *pens, dmat, shape),
-                             lambda g: _penalty_value(g, *pens, dmat, shape),
-                             h_buf[:size * size].reshape(size, size))
-        prev = trace.update_objectives[-1] if trace.update_objectives else None
-        if prev is not None and obj > prev:
+        h = np.matmul(a_mat.T, a_mat, out=h_buf[:size * size].reshape(size, size))
+        _add_penalties(h, *pens)
+        g = _solve_core(h, a_mat.T @ targets)
+        resid = targets - a_mat @ g
+        obj = float(resid @ resid) + _penalty_value(g, *pens) + _RIDGE * float(g @ g)
+        prev = trace.update_objectives[-1] if trace.update_objectives else np.inf
+        if obj <= prev:
+            cores[p] = g.reshape(r1, k, r2, order="F")
+        else:
             # Coordinate descent may always reject a non-improving step; the
             # current core already attains the previous objective.
             obj = prev
-        else:
-            r1, _, r2 = shape
-            cores[p] = g.reshape(r1, k, r2, order="F")
         trace.update_objectives.append(obj)
 
     # One sweep: left to right, then back; a single core is updated alone.

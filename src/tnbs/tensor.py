@@ -169,8 +169,6 @@ def tt_svd(a: np.ndarray, max_ranks=None) -> TensorTrain:
         raise ValueError("input must have at least one mode")
     d = a.ndim
     shape = a.shape
-    if d == 1:
-        return TensorTrain((a.reshape(1, -1, 1),), canonical_site=0)
     caps = _normalize_rank_caps(max_ranks, d)
 
     cores = []

@@ -185,6 +185,47 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: tnbs {shlex.join(argv)}")
 
 
+def test_readme_pipeline_runs(tmp_path, monkeypatch, capsys):
+    # Every README command that needs no downloaded data, in order, as written.
+    commands = [argv for argv in readme_commands()
+                if not any(arg.startswith("data/") for arg in argv)]
+    assert [argv[0] for argv in commands] == ["synth", "fit", "predict", "simulate", "cv"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, f"tnbs {shlex.join(argv)}: {capsys.readouterr().err}"
+
+
+def readme_report_keys() -> dict[str, set[str]]:
+    """The report keys the README lists per command, besides ``command`` and ``config``."""
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"sidecar holds `command` and `config`.*?\n\n(.*?)\n\n", text, re.S)
+    keys = {}
+    for bullet in block.split("\n- "):
+        names, listed = bullet.removeprefix("- ").split(":", 1)
+        for name in re.findall(r"`(\w+)`", names):
+            keys[name] = set(re.findall(r"`(\w+)`", listed))
+    return keys
+
+
+def test_readme_lists_report_keys(dataset, tmp_path):
+    model = str(tmp_path / "m.json")
+    runs = {
+        "synth": SYNTH_ARGS + ["--out-prefix", str(tmp_path / "s")],
+        "fit": ["fit", "--data", dataset + "_est.csv", "--out", model] + FIT_ARGS,
+        "predict": ["predict", "--model", model, "--data", dataset + "_test.csv"],
+        "simulate": ["simulate", "--model", model, "--data", dataset + "_test.csv"],
+        "cv": ["cv", "--data", dataset + "_est.csv", "--lambdas", "0,0.01", "--folds", "2",
+               "--sweeps", "2"] + FIT_ARGS[:-4] + ["--scaling", "unit"],
+    }
+    listed = readme_report_keys()
+    assert listed.keys() == runs.keys()
+    for name, argv in runs.items():
+        path = tmp_path / f"{name}.json"
+        assert main(argv + ["--report", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        assert set(payload) == {"command", "config"} | listed[name], name
+
+
 def test_readme_library_example_runs(capsys):
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     exec(compile(block, "README.md", "exec"), {})

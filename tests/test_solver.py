@@ -34,7 +34,7 @@ from tnbs import (
 from tnbs.bspline import basis_rows
 from tnbs.model import TnbsModel, build_regressors
 from tnbs.solver import (
-    _RIDGE, _add_penalties, _gram_walk, _kron_rows, _penalty_value,
+    _RIDGE, _add_penalties, _gram_walk, _kron_rows, _penalty_value, _solve_core,
 )
 from tnbs.synth import SynthSpec, make_dataset
 from tnbs.tensor import _flip, _fold_left
@@ -315,6 +315,35 @@ class TestViewsBitwise:
                                       reference_penalty(ttp, dmat, p, j)), (p, j)
 
 
+class TestSolveCore:
+    def test_singular_normal_matrix_solves_through_ridge_floor(self):
+        # A dead design column and no penalty leave A'A an exactly zero
+        # pivot; the ridge floor, added onto h in place, alone makes the
+        # system solvable, and the dead weight stays at zero.
+        rng = np.random.default_rng(15)
+        a = rng.standard_normal((20, 5))
+        a[:, 3] = 0.0
+        y = rng.standard_normal(20)
+        h = a.T @ a
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(h, a.T @ y)
+        floored = h + _RIDGE * np.eye(5)
+        g = _solve_core(h, a.T @ y)
+        assert np.array_equal(h, floored)
+        assert abs(g[3]) < 1e-10
+        assert np.allclose(g, np.linalg.pinv(a) @ y, atol=1e-8)
+
+    @pytest.mark.parametrize("where", ["h", "rhs"])
+    def test_non_finite_system_raises(self, where):
+        h, rhs = 2.0 * np.eye(3), np.ones(3)
+        if where == "h":
+            h[0, 1] = np.inf
+        else:
+            rhs[1] = np.inf
+        with pytest.raises(NumericalError, match="core solve"):
+            _solve_core(h, rhs)
+
+
 class TestUpdateCore:
     def test_unregularized_square_system(self):
         rng = np.random.default_rng(9)
@@ -443,8 +472,7 @@ def readme_fit():
 def record_workspace(monkeypatch):
     """Record every design _kron_rows returns and every normal matrix _solve_core factors.
 
-    Returns (designs, normals); the normal matrix is the one handed to the
-    penalty callback, which the solve factors right after.
+    Returns (designs, normals).
     """
     designs, normals = [], []
     kron_rows, solve_core = tnbs.solver._kron_rows, tnbs.solver._solve_core
@@ -453,11 +481,9 @@ def record_workspace(monkeypatch):
         designs.append(kron_rows(*args))
         return designs[-1]
 
-    def recording_solve_core(a_mat, targets, penalize, *args):
-        def recording_penalize(h):
-            normals.append(h)
-            penalize(h)
-        return solve_core(a_mat, targets, recording_penalize, *args)
+    def recording_solve_core(h, rhs):
+        normals.append(h)
+        return solve_core(h, rhs)
 
     monkeypatch.setattr(tnbs.solver, "_kron_rows", recording_kron_rows)
     monkeypatch.setattr(tnbs.solver, "_solve_core", recording_solve_core)

@@ -157,11 +157,17 @@ class TestTtSvd:
     def test_bad_rank_vector_length(self):
         with pytest.raises(ValueError):
             tt_svd(np.zeros((3, 3, 3)), max_ranks=(2,))
+        # An order-one train has no interior rank to cap.
+        with pytest.raises(ValueError, match="the 0 interior ranks, got 1"):
+            tt_svd(np.array([1.0, 2.0]), max_ranks=(3,))
 
-    @pytest.mark.parametrize("max_ranks", [1.7, (2, 2.5), np.nan, "2"])
+    @pytest.mark.parametrize("max_ranks", [1.7, (2, 2.5), np.nan, "2", 3.5, "x"])
     def test_fractional_or_non_numeric_rank_rejected(self, max_ranks):
         with pytest.raises(ValueError, match="rank must be an integer"):
             tt_svd(np.ones((3, 3, 3)), max_ranks=max_ranks)
+        # Order one too, although the train has no interior rank to cap.
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            tt_svd(np.array([1.0, 2.0]), max_ranks=max_ranks)
 
     def test_d1(self):
         tt = tt_svd(np.array([1.0, 2.0]))
