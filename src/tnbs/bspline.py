@@ -3,18 +3,19 @@
 A basis of degree ``rho`` and knot parameter m > 2*rho has the m + 1 uniform
 knots t_i = (i - rho) / (m - 2*rho) and k = m - rho member functions. The
 natural domain [t_rho, t_{m-rho}], where the basis sums to one, is exactly
-[0, 1]. Evaluation uses the Cox-de Boor recursion on tables that
-``BasisConfig`` builds once from its knots: indicator bounds with the last
-natural interval closed, and per degree step the knot and span slices. The
-knots are uniform, so no span is zero and the recursion needs no zero-span
-guards.
+[0, 1]. Evaluation uses the Cox-de Boor recursion on one set of tables that
+``BasisConfig`` builds once from its knots, as tuples of Python floats:
+indicator bounds with the last natural interval closed, and per degree step
+the knot and span slices. The knots are uniform, so no span is zero and the
+recursion needs no zero-span guards.
 
-The recursion has two evaluators. ``basis_rows`` runs it on whole arrays of
-points, which is what fitting and prediction need. ``eval_basis`` runs it at
-one point over the rho + 1 functions that are non-zero there, in plain float
-arithmetic, which is what a free-run step needs: there a numpy call per step
-would cost more than the arithmetic it does. Both apply the same formulas to
-the same tables and agree bit for bit; every other entry of a row is +0.0.
+The recursion has two evaluators on those tables. ``basis_rows`` broadcasts
+them against whole arrays of points, which is what fitting and prediction
+need. ``eval_basis`` indexes them at one point over the rho + 1 functions
+that are non-zero there, in plain float arithmetic, which is what a free-run
+step needs: there a numpy call per step would cost more than the arithmetic
+it does. Both apply the same formulas to the same values and agree bit for
+bit; every other entry of a row is +0.0.
 """
 
 from __future__ import annotations
@@ -34,21 +35,18 @@ class BasisConfig:
     natural domain does not collapse. Everything else is derived on
     construction: the knots t_i = (i - degree) / (m - 2*degree), i = 0..m,
     which put the natural domain [t_degree, t_{m-degree}] at [0, 1], the
-    domain the evaluator clips to, and the evaluation tables. ``lo``/``hi``
-    bound the degree-0 indicators, and ``steps`` holds, per degree q, the
-    slices (t_j, t_{j+q} - t_j, t_{j+q+1}, t_{j+q+1} - t_{j+1}) that the
-    Cox-de Boor step q uses. ``point_lo`` and ``point_steps`` hold the same
-    tables as tuples of Python floats for the per-point evaluator.
+    domain the evaluator clips to, and the evaluation tables, tuples of
+    Python floats. ``lo``/``hi`` bound the degree-0 indicators, and ``steps``
+    holds, per degree q, the slices (t_j, t_{j+q} - t_j, t_{j+q+1},
+    t_{j+q+1} - t_{j+1}) that the Cox-de Boor step q uses.
     """
 
     degree: int
     knot_param: int
     knots: np.ndarray = field(init=False, repr=False)
-    lo: np.ndarray = field(init=False, repr=False)
-    hi: np.ndarray = field(init=False, repr=False)
+    lo: tuple = field(init=False, repr=False)
+    hi: tuple = field(init=False, repr=False)
     steps: tuple = field(init=False, repr=False)
-    point_lo: tuple = field(init=False, repr=False)
-    point_steps: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         rho = _as_int(self.degree, "degree")
@@ -67,16 +65,14 @@ class BasisConfig:
         steps = []
         for q in range(1, rho + 1):
             span = t[q:] - t[:-q]
-            steps.append((t[: m - q], span[: m - q], t[q + 1:], span[1: m + 1 - q]))
+            steps.append(tuple(tuple(a.tolist()) for a in
+                               (t[: m - q], span[: m - q], t[q + 1:], span[1: m + 1 - q])))
         object.__setattr__(self, "degree", rho)
         object.__setattr__(self, "knot_param", m)
         object.__setattr__(self, "knots", t)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo", tuple(lo.tolist()))
+        object.__setattr__(self, "hi", tuple(hi.tolist()))
         object.__setattr__(self, "steps", tuple(steps))
-        object.__setattr__(self, "point_lo", tuple(lo.tolist()))
-        object.__setattr__(self, "point_steps",
-                           tuple(tuple(tuple(a.tolist()) for a in step) for step in steps))
 
     @property
     def basis_count(self) -> int:
@@ -131,9 +127,9 @@ def _active_basis(cfg: BasisConfig, x: float) -> tuple[int, list]:
     and enter as 0.0 here.
     """
     x = min(max(x, 0.0), 1.0)
-    i = bisect_right(cfg.point_lo, x) - 1
+    i = bisect_right(cfg.lo, x) - 1
     b = [1.0]
-    for q, (t_left, span_left, t_right, span_right) in enumerate(cfg.point_steps, 1):
+    for q, (t_left, span_left, t_right, span_right) in enumerate(cfg.steps, 1):
         b = [0.0, *b, 0.0]
         j0 = i - q
         b = [(x - t_left[j]) / span_left[j] * b[j - j0]

@@ -55,11 +55,13 @@ def read_signal_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(u), np.asarray(y)
 
 
-def write_signal_csv(path, u, y) -> None:
+def write_signal_csv(path, *columns, header: str = "u,y") -> None:
+    """Write columns under a CSV header, each value as its repr (a float's reads back exactly)."""
+    line = ",".join(["%r"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("u,y\n")
-        for a, b in zip(u, y):
-            fh.write(f"{float(a)!r},{float(b)!r}\n")
+        fh.write(header + "\n")
+        for row in zip(*(np.asarray(c).tolist() for c in columns)):
+            fh.write(line % row)
 
 
 def _write_report(path, payload: dict) -> None:
@@ -74,18 +76,17 @@ def _echo_config(config: dict) -> None:
         print(f"  {key} = {config[key]}")
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _comma_list(kind, noun: str):
+    def parse(text: str) -> list:
+        try:
+            return [kind(part) for part in text.split(",") if part.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
+    return parse
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+_int_list = _comma_list(int, "integers")
+_float_list = _comma_list(float, "numbers")
 
 
 def _scalar_or_tuple(values: list):
@@ -98,16 +99,13 @@ def _fit_inputs(args):
     cfg = FitConfig(
         ranks=_scalar_or_tuple(args.ranks),
         penalty_order=args.alpha,
-        lambdas=_scalar_or_tuple(args.lam) if hasattr(args, "lam") else 0.0,
+        lambdas=_scalar_or_tuple(getattr(args, "lambda", [0.0])),
         max_sweeps=args.sweeps,
         epsilon=args.epsilon,
         seed=args.seed,
     )
     scaling = Scaling.identity() if args.scaling == "unit" else None
     return lags, basis, cfg, scaling
-
-
-_CONFIG_NAMES = {"lam": "lambda", "snr": "snr_db"}
 
 
 def _resolved_config(args) -> dict:
@@ -119,8 +117,7 @@ def _resolved_config(args) -> dict:
     skip = {"command", "func", "report"}
     if args.command in ("predict", "simulate"):
         skip.add("out")
-    return {_CONFIG_NAMES.get(key, key): value
-            for key, value in vars(args).items() if key not in skip}
+    return {key: value for key, value in vars(args).items() if key not in skip}
 
 
 def cmd_fit(args) -> dict:
@@ -151,13 +148,6 @@ def cmd_fit(args) -> dict:
     }
 
 
-def _write_prediction_csv(path, offset, truth, predicted) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("n,y,yhat\n")
-        for i, (a, b) in enumerate(zip(truth, predicted)):
-            fh.write(f"{offset + i},{float(a)!r},{float(b)!r}\n")
-
-
 def cmd_evaluate(args) -> dict:
     """``predict`` (one-step prediction) or ``simulate`` (free run) with a saved model."""
     model = TnbsModel.load(args.model)
@@ -173,7 +163,7 @@ def cmd_evaluate(args) -> dict:
     score = rmse(y[start:], yhat)
     print(f"{label} rmse: {score:.6g} over {len(yhat)} samples")
     if args.out:
-        _write_prediction_csv(args.out, start, y[start:], yhat)
+        write_signal_csv(args.out, range(start, len(y)), y[start:], yhat, header="n,y,yhat")
         print(f"per-sample output written to {args.out}")
     return {"rmse": score, "samples": len(yhat), "start_index": start}
 
@@ -192,7 +182,7 @@ def cmd_synth(args) -> dict:
         seed=args.seed,
     )
     _echo_config(_resolved_config(args))
-    data = make_dataset(spec, snr_db=args.snr, n_estimation=args.split)
+    data = make_dataset(spec, snr_db=args.snr_db, n_estimation=args.split)
     est_path = f"{args.out_prefix}_est.csv"
     test_path = f"{args.out_prefix}_test.csv"
     model_path = f"{args.out_prefix}_true_model.json"
@@ -229,25 +219,28 @@ def cmd_cv(args) -> dict:
     }
 
 
-def _add_model_flags(p, with_lambda: bool) -> None:
+def _add_model_flags(p, ranks: list[int], lags: list[int]) -> None:
+    """The flags that fit, cv and synth share; each command passes its own defaults."""
     p.add_argument("--degree", type=int, default=2, help="B-spline degree")
     p.add_argument("--knots", type=int, default=6,
                    help="knot parameter m (the sequence has m+1 knots)")
-    p.add_argument("--ranks", type=_int_list, default=[4],
+    p.add_argument("--ranks", type=_int_list, default=ranks,
                    help="interior train ranks: scalar or comma list; a rank above "
                         "its unfolding bound is fitted at the bound, stored zero-padded")
-    p.add_argument("--lags-u", type=_int_list, default=[1], help="input lags, comma list")
-    p.add_argument("--lags-y", type=_int_list, default=[1], help="output lags, comma list")
+    p.add_argument("--lags-u", type=_int_list, default=lags, help="input lags, comma list")
+    p.add_argument("--lags-y", type=_int_list, default=lags, help="output lags, comma list")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+
+
+def _add_fit_flags(p) -> None:
+    """The flags that fit and cv share."""
+    _add_model_flags(p, ranks=[4], lags=[1])
     p.add_argument("--alpha", type=int, default=1, help="difference penalty order")
-    if with_lambda:
-        p.add_argument("--lam", type=_float_list, default=[0.0],
-                       help="penalty weight: scalar or per-dimension comma list")
     p.add_argument("--sweeps", type=int, default=16, help="maximum number of sweeps")
     p.add_argument("--epsilon", type=float, default=0.0,
                    help="stopping tolerance on the first-core objective")
     p.add_argument("--scaling", choices=("data", "unit"), default="data",
                    help="min-max scaling fitted from data, or identity for data in [0,1]")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="estimation CSV (header u,y)")
     p.add_argument("--out", default="model.json", help="model output path")
     p.add_argument("--report", default=None, help="JSON report sidecar path")
-    _add_model_flags(p, with_lambda=True)
+    _add_fit_flags(p)
+    p.add_argument("--lam", dest="lambda", type=_float_list, default=[0.0],
+                   help="penalty weight: scalar or per-dimension comma list")
     p.set_defaults(func=cmd_fit)
 
     for name, text in (("predict", "one-step prediction with a saved model"),
@@ -274,17 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate the synthetic benchmark dataset")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
+    _add_model_flags(p, ranks=[5], lags=[1, 2, 3, 4])
     p.add_argument("--out-prefix", default="synth", help="prefix for the emitted files")
     p.add_argument("--n", type=int, default=3000, help="total signal length")
     p.add_argument("--split", type=int, default=2000, help="estimation rows")
-    p.add_argument("--snr", type=float, default=float("inf"),
+    p.add_argument("--snr", dest="snr_db", type=float, default=float("inf"),
                    help="SNR in dB for estimation noise ('inf' for none)")
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--knots", type=int, default=6)
-    p.add_argument("--ranks", type=_int_list, default=[5])
-    p.add_argument("--lags-u", type=_int_list, default=[1, 2, 3, 4])
-    p.add_argument("--lags-y", type=_int_list, default=[1, 2, 3, 4])
     p.add_argument("--w-min", type=float, default=-4.0)
     p.add_argument("--w-max", type=float, default=5.0)
     p.add_argument("--window", type=int, default=5, help="Gaussian smoothing window")
@@ -301,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated candidate penalty weights")
     p.add_argument("--folds", type=int, default=3)
     p.add_argument("--report", default=None)
-    _add_model_flags(p, with_lambda=False)
+    _add_fit_flags(p)
     p.set_defaults(func=cmd_cv)
 
     return parser

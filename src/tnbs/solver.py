@@ -309,7 +309,11 @@ def update_core(a_mat, targets, penalty_mats, lambdas) -> np.ndarray:
     """
     a_mat = np.asfortranarray(a_mat, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if a_mat.ndim != 2 or a_mat.shape[0] != len(targets):
+    if a_mat.ndim != 2:
+        raise ValueError(f"design matrix must be two-dimensional, got shape {a_mat.shape}")
+    if targets.ndim != 1:
+        raise ValueError(f"targets must be one-dimensional, got shape {targets.shape}")
+    if a_mat.shape[0] != len(targets):
         raise ValueError(
             f"design matrix rows ({a_mat.shape[0]}) must match targets ({len(targets)})"
         )
@@ -341,12 +345,8 @@ def als_fit(u, y, lags: LagSpec, basis: BasisConfig, cfg: FitConfig,
 def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
     """ALS on prebuilt regressor rows (shared by als_fit and cross-validation)."""
     n, d = x_rows.shape
-    if d != lags.dimension:
-        raise ValueError(f"regressors have {d} columns, lag structure needs {lags.dimension}")
     k = basis.basis_count
     dmat = difference_matrix(k, cfg.penalty_order)
-    if n < 1:
-        raise ValueError("no training samples left after lagging")
     ranks = (1,) + cfg.resolved_ranks(d) + (1,)
     lambdas = cfg.resolved_lambdas(d)
 

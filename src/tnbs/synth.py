@@ -64,9 +64,9 @@ def generate_true_weights(spec: SynthSpec, rng=None) -> TensorTrain:
     return tt_svd(dense, max_ranks=spec.ranks)
 
 
-def _gaussian_window(size: int, sigma: float = 1.0) -> np.ndarray:
+def _gaussian_window(size: int) -> np.ndarray:
     center = (size - 1) / 2.0
-    w = np.exp(-0.5 * ((np.arange(size) - center) / sigma) ** 2)
+    w = np.exp(-0.5 * (np.arange(size) - center) ** 2)
     return w / w.sum()
 
 
@@ -93,14 +93,11 @@ def generate_input(n: int, window: int = 5, seed=0) -> np.ndarray:
 
 
 def generate_output(true_model: TnbsModel, u, warmup_zeros: int) -> np.ndarray:
-    """Run the system recursively from a zero warmup; returns the full signal."""
-    warmup_zeros = _as_int(warmup_zeros, "warmup_zeros")
-    if warmup_zeros < true_model.lags.max_output_lag:
-        raise ValueError(
-            f"warmup of {warmup_zeros} zeros does not cover the largest output lag "
-            f"{true_model.lags.max_output_lag}"
-        )
-    head = np.zeros(warmup_zeros)
+    """Run the system recursively from a zero warmup; returns the full signal.
+
+    The warmup must cover the largest lag, as ``TnbsModel.simulate`` checks.
+    """
+    head = np.zeros(_as_int(warmup_zeros, "warmup_zeros"))
     return np.concatenate([head, true_model.simulate(u, head)])
 
 

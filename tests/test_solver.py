@@ -63,6 +63,10 @@ class TestDifferenceMatrix:
         with pytest.raises(ValueError):
             difference_matrix(3, 3)
 
+    def test_negative_order(self):
+        with pytest.raises(ValueError, match="difference order must be non-negative"):
+            difference_matrix(4, -1)
+
     def test_integral_float_arguments_accepted(self):
         assert np.array_equal(difference_matrix(4.0, 2.0), difference_matrix(4, 2))
         with pytest.raises(ValueError, match=r"order alpha must be an integer, got 1\.5"):
@@ -96,6 +100,11 @@ class TestDensePenalty:
     def test_extent_mismatch(self):
         with pytest.raises(ValueError):
             dense_penalty(np.zeros((3, 3)), difference_matrix(4, 1), 0)
+
+    @pytest.mark.parametrize("axis", [-1, 2])
+    def test_axis_out_of_range(self, axis):
+        with pytest.raises(ValueError, match=f"axis {axis} out of range for tensor of order 2"):
+            dense_penalty(np.zeros((3, 3)), difference_matrix(3, 1), axis)
 
 
 class TestDesignMatrix:
@@ -143,6 +152,13 @@ class TestDesignMatrix:
         bmats = [basis_rows(basis, xs[:, q]) for q in range(3)]
         with pytest.raises(ValueError):
             build_design_matrix(tt, bmats, 1)
+
+    def test_basis_matrix_count(self):
+        rng = np.random.default_rng(4)
+        tt = orthogonalize_to_site(random_tt(rng, 3, 4, (2, 2)), 0)
+        bmats = [basis_rows(make_basis(2, 6), rng.random(4))] * 2
+        with pytest.raises(ValueError, match="need 3 basis matrices, got 2"):
+            build_design_matrix(tt, bmats, 0)
 
     @pytest.mark.parametrize("n, r_prev, r_next", [(0, 2, 3), (1, 1, 8), (7, 8, 1), (379, 8, 8)])
     def test_kron_rows_equal_einsum(self, n, r_prev, r_next):
@@ -254,6 +270,17 @@ class TestPenaltyMatrix:
         with pytest.raises(ValueError):
             build_penalty_matrix(tt, difference_matrix(4, 1), 2, 0)
 
+    @pytest.mark.parametrize("j, k, message", [
+        (-1, 4, "dimension -1 out of range for order 3"),
+        (3, 4, "dimension 3 out of range for order 3"),
+        (1, 5, "difference matrix has 5 columns but dimension 1 has extent 4"),
+    ], ids=["j-negative", "j-past-end", "width"])
+    def test_bad_dimension_or_difference_width(self, j, k, message):
+        rng = np.random.default_rng(8)
+        tt = orthogonalize_to_site(random_tt(rng, 3, 4, (2, 2)), 0)
+        with pytest.raises(ValueError, match=message):
+            build_penalty_matrix(tt, difference_matrix(k, 1), 0, j)
+
 
 def reference_design(tt, bmats, p):
     """Explicit chain loops for the design rows at core p."""
@@ -343,6 +370,12 @@ class TestSolveCore:
         with pytest.raises(NumericalError, match="core solve"):
             _solve_core(h, rhs)
 
+    def test_singular_after_ridge_floor_raises(self):
+        # tau = 1e-10 is lost in rounding against the 4e12 diagonal of A'A,
+        # so the floored system stays exactly singular and the LU solve fails.
+        with pytest.raises(NumericalError, match="core solve failed: Singular matrix"):
+            update_core(np.full((4, 2), 1e6), np.zeros(4), [], [])
+
 
 class TestUpdateCore:
     def test_unregularized_square_system(self):
@@ -427,13 +460,18 @@ class TestUpdateCore:
         with pytest.raises(NumericalError):
             update_core(a, np.zeros(4), [], [])
 
-    @pytest.mark.parametrize("rows, penalties, message", [
-        (3, 1, r"design matrix rows \(3\) must match targets \(4\)"),
-        (4, 2, "one penalty weight per penalty matrix"),
-    ], ids=["rows", "penalties"])
-    def test_shape_mismatch_rejected(self, rows, penalties, message):
+    @pytest.mark.parametrize("design, targets, penalties, message", [
+        (np.eye(3, 2), np.zeros(4), 1, r"design matrix rows \(3\) must match targets \(4\)"),
+        (np.eye(4, 2), np.zeros(4), 2, "one penalty weight per penalty matrix"),
+        (np.ones(3), np.zeros(3), 1,
+         r"design matrix must be two-dimensional, got shape \(3,\)"),
+        (np.eye(2), 0.0, 1, r"targets must be one-dimensional, got shape \(\)"),
+        (np.eye(2), np.zeros((2, 1)), 1,
+         r"targets must be one-dimensional, got shape \(2, 1\)"),
+    ], ids=["rows", "penalties", "design-1d", "targets-scalar", "targets-column"])
+    def test_shape_mismatch_rejected(self, design, targets, penalties, message):
         with pytest.raises(ValueError, match=message):
-            update_core(np.eye(rows, 2), np.zeros(4), [np.eye(2)] * penalties, [0.1])
+            update_core(design, targets, [np.eye(2)] * penalties, [0.1])
 
 
 def small_problem(seed, n_samples=260, lam=0.0, alpha=1, sweeps=6, fit_seed=0,

@@ -169,6 +169,10 @@ class TestTtSvd:
         with pytest.raises(ValueError, match="rank must be an integer"):
             tt_svd(np.array([1.0, 2.0]), max_ranks=max_ranks)
 
+    def test_zero_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="at least one mode"):
+            tt_svd(np.array(1.0))
+
     def test_d1(self):
         tt = tt_svd(np.array([1.0, 2.0]))
         assert tt.canonical_site == 0
