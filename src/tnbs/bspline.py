@@ -106,9 +106,6 @@ def basis_rows(cfg: BasisConfig, xs) -> np.ndarray:
         raise ValueError("expected a one-dimensional array of evaluation points")
     if not np.all(np.isfinite(xs)):
         raise ValueError("evaluation points must be finite")
-    k = cfg.basis_count
-    if xs.size == 0:
-        return np.zeros((0, k))
     x = np.clip(xs, 0.0, 1.0)[:, None]
     b = ((cfg.lo <= x) & (x < cfg.hi)).astype(float)
     for t_left, span_left, t_right, span_right in cfg.steps:

@@ -123,7 +123,6 @@ def _resolved_config(args) -> dict:
 def cmd_fit(args) -> dict:
     u, y = read_signal_csv(args.data)
     lags, basis, cfg, scaling = _fit_inputs(args)
-    _echo_config(_resolved_config(args))
 
     start_time = time.perf_counter()
     model, trace = als_fit(u, y, lags, basis, cfg, scaling=scaling)
@@ -152,7 +151,6 @@ def cmd_evaluate(args) -> dict:
     """``predict`` (one-step prediction) or ``simulate`` (free run) with a saved model."""
     model = TnbsModel.load(args.model)
     u, y = read_signal_csv(args.data)
-    _echo_config(_resolved_config(args))
     start = model.lags.start_index
     if args.command == "predict":
         label, yhat = "prediction", model.predict(u, y)
@@ -181,7 +179,6 @@ def cmd_synth(args) -> dict:
         smoothing_window=args.window,
         seed=args.seed,
     )
-    _echo_config(_resolved_config(args))
     data = make_dataset(spec, snr_db=args.snr_db, n_estimation=args.split)
     est_path = f"{args.out_prefix}_est.csv"
     test_path = f"{args.out_prefix}_test.csv"
@@ -202,7 +199,6 @@ def cmd_synth(args) -> dict:
 def cmd_cv(args) -> dict:
     u, y = read_signal_csv(args.data)
     lags, basis, cfg, scaling = _fit_inputs(args)
-    _echo_config(_resolved_config(args))
     best, scores = cross_validate_lambda(
         u, y, lags, basis, cfg, args.lambdas, args.folds, scaling=scaling
     )
@@ -312,11 +308,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # The configuration is echoed before the command reads any input.
         # Each command returns its report payload; the JSON sidecar adds
-        # the command name and the resolved configuration it echoed.
+        # the command name and the echoed configuration.
+        config = _resolved_config(args)
+        _echo_config(config)
         payload = args.func(args)
-        _write_report(args.report, {"command": args.command,
-                                    "config": _resolved_config(args), **payload})
+        _write_report(args.report, {"command": args.command, "config": config, **payload})
         return EXIT_OK
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -266,19 +266,17 @@ class TnbsModel:
             raise ValueError("warmup longer than the input signal")
         us = self.scaling.scale_u(u)
         # Input lags lead the regressor row (LagSpec order) and do not depend
-        # on fed-back outputs; with no output lags this is predict's batch.
+        # on fed-back outputs.
         head = self._fold_rows(_lagged(us, np.arange(t0, n), self.lags.input_lags),
                                np.ones((n - t0, 1)))
-        if not self.lags.output_lags:
-            return self.scaling.unscale_y(head[:, 0])
         out_lags = self.lags.output_lags
         cores = self.weights.cores[len(self.lags.input_lags):]
         # rows[t] is the basis row of the scaled output at sample t; only the
         # samples that some step reads get one.
         rows = np.zeros((n, self.basis.basis_count))
-        first = t0 - out_lags[-1]
+        first = t0 - self.lags.max_output_lag
         rows[first:t0] = basis_rows(self.basis, self.scaling.scale_y(y_warmup[first:]))
-        read_until = n - out_lags[0]
+        read_until = n - min(out_lags, default=n)
         out = np.empty(n - t0)
         for t in range(t0, n):
             v = head[t - t0, None]

@@ -93,12 +93,10 @@ class FitConfig:
             raise ValueError("stopping tolerance must be non-negative")
 
     def resolved_ranks(self, d: int) -> tuple[int, ...]:
-        if self.ranks is None:
-            raise ValueError("rank must be an integer, got None")
         return tuple(_normalize_rank_caps(self.ranks, d))
 
     def resolved_lambdas(self, d: int) -> tuple[float, ...]:
-        if np.isscalar(self.lambdas):
+        if np.ndim(self.lambdas) == 0:
             lams = (float(self.lambdas),) * d
         else:
             lams = tuple(float(l) for l in self.lambdas)
@@ -404,7 +402,7 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
         trace.sweeps_run = sweep
         js = trace.first_core_objectives
         if sweep >= 2 and abs(js[-2] - js[-1]) <= cfg.epsilon:
-            trace.stopped_early = True
+            trace.stopped_early = sweep < cfg.max_sweeps
             break
 
     # Bonds swept at their unfolding bound are zero-padded to the requested ranks.

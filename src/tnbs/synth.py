@@ -12,12 +12,6 @@ from .model import LagSpec, Scaling, TnbsModel
 from .tensor import DENSE_CAP, TensorTrain, tt_svd
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of the synthetic system and its excitation."""
@@ -52,7 +46,7 @@ class SynthSpec:
 
 def generate_true_weights(spec: SynthSpec, rng=None) -> TensorTrain:
     """Random two-valued dense weight tensor, compressed to the target ranks."""
-    rng = _as_rng(spec.seed if rng is None else rng)
+    rng = np.random.default_rng(spec.seed if rng is None else rng)
     basis = make_basis(spec.degree, spec.knot_param)
     k = basis.basis_count
     d = spec.lags.dimension
@@ -83,10 +77,8 @@ def generate_input(n: int, window: int = 5, seed=0) -> np.ndarray:
         raise ValueError("window must be odd and at least 1")
     if n < window:
         raise ValueError(f"signal of length {n} is shorter than the window {window}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     u = rng.random(n)
-    if window == 1:
-        return u
     pad = window // 2
     padded = np.pad(u, pad, mode="symmetric")
     return np.clip(np.convolve(padded, _gaussian_window(window), mode="valid"), 0.0, 1.0)
@@ -114,7 +106,7 @@ def add_noise(y, snr_db: float, seed=0) -> np.ndarray:
         raise ValueError(f"SNR must be a number of dB or +inf, got {snr_db}")
     if snr_db == np.inf:
         return y.copy()
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     power = float(np.mean((y - y.mean()) ** 2))
     variance = power / 10.0 ** (snr_db / 10.0)
     return y + rng.normal(0.0, np.sqrt(variance), size=y.size)
@@ -142,7 +134,7 @@ def make_dataset(spec: SynthSpec, snr_db: float = np.inf,
         raise ValueError(
             f"estimation split {n_estimation} must lie inside the {spec.n_samples} samples"
         )
-    rng = _as_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     weights = generate_true_weights(spec, rng)
     u = generate_input(spec.n_samples, spec.smoothing_window, rng)
     model = TnbsModel(

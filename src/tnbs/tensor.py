@@ -141,10 +141,8 @@ def _walk(carry, start, cores, site: int):
     return left, right, refold
 
 
-def _normalize_rank_caps(max_ranks, d: int):
-    if max_ranks is None:
-        return None
-    if np.isscalar(max_ranks):
+def _normalize_rank_caps(max_ranks, d: int) -> list[int]:
+    if np.ndim(max_ranks) == 0:
         caps = [_as_int(max_ranks, "rank")] * (d - 1)
     else:
         caps = [_as_int(r, "rank") for r in max_ranks]
@@ -169,7 +167,7 @@ def tt_svd(a: np.ndarray, max_ranks=None) -> TensorTrain:
         raise ValueError("input must have at least one mode")
     d = a.ndim
     shape = a.shape
-    caps = _normalize_rank_caps(max_ranks, d)
+    caps = [np.inf] * (d - 1) if max_ranks is None else _normalize_rank_caps(max_ranks, d)
 
     cores = []
     rem = a.reshape(-1, order="F")
@@ -180,9 +178,7 @@ def tt_svd(a: np.ndarray, max_ranks=None) -> TensorTrain:
         u, s, vt = np.linalg.svd(rem, full_matrices=False)
         # Numerical rank: exact decompositions do not carry zero directions.
         r = int(np.count_nonzero(s > s[0] * max(rem.shape) * np.finfo(float).eps)) if s.size else 1
-        if caps is not None:
-            r = min(r, caps[p])
-        r = max(r, 1)
+        r = max(min(r, caps[p]), 1)
         cores.append(u[:, :r].reshape(r_prev, k, r, order="F"))
         rem = s[:r, None] * vt[:r, :]
         r_prev = r

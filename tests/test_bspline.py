@@ -118,6 +118,13 @@ class TestBasisRows:
     def test_empty(self):
         assert basis_rows(make_basis(2, 6), np.array([])).shape == (0, 4)
 
+    @pytest.mark.parametrize("rho", range(5))
+    def test_empty_is_float_with_k_columns(self, rho):
+        cfg = make_basis(rho, 2 * rho + 3)
+        rows = basis_rows(cfg, np.array([]))
+        assert rows.shape == (0, cfg.basis_count)
+        assert rows.dtype == float
+
     def test_single_matches_eval(self):
         cfg = make_basis(3, 7)
         assert np.array_equal(basis_rows(cfg, np.array([0.4]))[0], eval_basis(cfg, 0.4))

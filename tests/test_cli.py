@@ -119,6 +119,28 @@ def test_missing_data_file_exits_2_without_model(tmp_path, capsys):
     assert not (tmp_path / "never.json").exists()
 
 
+def test_missing_data_file_error_follows_echo(tmp_path, capsys):
+    absent = str(tmp_path / "absent.csv")
+    assert main(["fit", "--data", absent, "--out", str(tmp_path / "m.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("resolved configuration:\n")
+    assert f"  data = {absent}\n" in captured.out
+    assert captured.err.startswith("error: ") and absent in captured.err
+
+
+def test_fit_stalling_at_sweep_cap_reports_no_early_stop(tmp_path):
+    prefix = str(tmp_path / "s")
+    report_path = tmp_path / "fit.json"
+    assert main(["synth", "--n", "300", "--split", "200", "--out-prefix", prefix]) == 0
+    assert main(["fit", "--data", prefix + "_est.csv", "--sweeps", "2",
+                 "--out", str(tmp_path / "m.json"), "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    objectives = report["first_core_objectives"]
+    assert abs(objectives[-2] - objectives[-1]) <= report["config"]["epsilon"]
+    assert report["sweeps_run"] == 2
+    assert report["stopped_early"] is False
+
+
 def test_invalid_hyperparameters_exit_2(dataset, tmp_path):
     code = main(["fit", "--data", dataset + "_est.csv", "--out",
                  str(tmp_path / "m.json"), "--degree", "2", "--knots", "6",

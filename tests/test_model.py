@@ -43,9 +43,10 @@ def random_model(rng, d, ranks, lags, basis=(2, 6)):
 FREE_RUN_LAYOUTS = [
     LagSpec((0, 2), (1, 3)),
     LagSpec((), (1, 2, 3)),
+    LagSpec((0, 1, 2), ()),
     LagSpec((1, 2, 3, 4, 8, 12, 16, 32), (1, 2, 3, 4, 8, 12, 16, 32)),
 ]
-FREE_RUN_LAYOUT_IDS = ["mixed", "output-only", "tanks"]
+FREE_RUN_LAYOUT_IDS = ["mixed", "output-only", "input-only", "tanks"]
 
 
 class TestLagSpec:

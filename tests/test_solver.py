@@ -680,6 +680,16 @@ class TestAlsFit:
         js = trace.first_core_objectives
         assert abs(js[-2] - js[-1]) <= 1e3
 
+    def test_stall_at_sweep_cap_is_not_an_early_stop(self):
+        data, spec, basis, cfg = small_problem(seed=5, lam=0.0, sweeps=2,
+                                               epsilon=1e3)
+        _, trace = als_fit(data.u_est, data.y_est, spec.lags, basis, cfg,
+                           scaling=Scaling.identity())
+        js = trace.first_core_objectives
+        assert abs(js[-2] - js[-1]) <= 1e3
+        assert trace.sweeps_run == 2
+        assert trace.stopped_early is False
+
     def test_penalty_order_must_fit_basis(self):
         data, spec, basis, cfg = small_problem(seed=6, alpha=4)
         with pytest.raises(ValueError):
@@ -847,6 +857,11 @@ class TestFitConfig:
     def test_fractional_or_non_numeric_ranks_rejected(self, ranks):
         with pytest.raises(ValueError, match="rank must be an integer"):
             FitConfig(ranks=ranks).resolved_ranks(3)
+
+    def test_zero_dimensional_arrays_broadcast(self):
+        cfg = FitConfig(ranks=np.array(3), lambdas=np.array(0.1))
+        assert cfg.resolved_ranks(4) == (3, 3, 3)
+        assert cfg.resolved_lambdas(4) == (0.1,) * 4
 
     def test_integral_values_become_ints(self):
         cfg = FitConfig(max_sweeps=3.0, penalty_order=np.int64(2), seed=np.float64(7))

@@ -169,6 +169,10 @@ class TestTtSvd:
         with pytest.raises(ValueError, match="rank must be an integer"):
             tt_svd(np.array([1.0, 2.0]), max_ranks=max_ranks)
 
+    def test_zero_dimensional_array_cap_broadcasts(self):
+        t = np.random.default_rng(8).standard_normal((3, 3, 3, 3))
+        assert tt_svd(t, max_ranks=np.array(2)).ranks == (1, 2, 2, 2, 1)
+
     def test_zero_dimensional_rejected(self):
         with pytest.raises(ValueError, match="at least one mode"):
             tt_svd(np.array(1.0))
