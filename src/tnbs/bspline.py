@@ -89,9 +89,7 @@ def _as_int(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def make_basis(degree: int, knot_param: int) -> BasisConfig:
-    """The uniform basis of this degree and knot parameter; see ``BasisConfig``."""
-    return BasisConfig(degree, knot_param)
+make_basis = BasisConfig
 
 
 def basis_rows(cfg: BasisConfig, xs) -> np.ndarray:

@@ -239,6 +239,11 @@ def _add_fit_flags(p) -> None:
                    help="min-max scaling fitted from data, or identity for data in [0,1]")
 
 
+# Built once per process: every ``add_argument`` leaves an argparse help
+# formatter in a reference cycle, about 480 objects per build, which only a
+# full garbage collection frees, so repeated in-process ``main`` calls would
+# grow the resident set with the number of calls.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tnbs",
@@ -293,20 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process.
-
-    Every ``add_argument`` leaves an argparse help formatter behind in a
-    reference cycle, about 480 objects per build, which only a full garbage
-    collection frees. Building once keeps repeated in-process ``main`` calls
-    from growing the resident set with the number of calls.
-    """
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # The configuration is echoed before the command reads any input.
         # Each command returns its report payload; the JSON sidecar adds

@@ -186,13 +186,6 @@ def tt_svd(a: np.ndarray, max_ranks=None) -> TensorTrain:
     return TensorTrain(tuple(cores), canonical_site=d - 1)
 
 
-def _qr_fixed(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR with non-negative diagonal of R: Q has min(rows, cols) columns."""
-    q, r = np.linalg.qr(m)
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return q * signs, signs[:, None] * r
-
-
 def _qr_shift(cores: list, p: int, step: int) -> None:
     """Move the canonical site from core p to p + step (step is 1 or -1), in place.
 
@@ -200,15 +193,16 @@ def _qr_shift(cores: list, p: int, step: int) -> None:
     (step -1), and the triangular factor is absorbed into the neighbour, so
     the represented tensor is unchanged. The bond takes Q's width, so a bond
     wider than core p's unfolding (r1 k for step 1, k r2 for step -1) shrinks
-    to it and core p is an exact isometry.
+    to it and core p is an exact isometry. Each bond direction keeps the sign
+    LAPACK gives it, a gauge of the train that no output reads.
     """
     r1, k, r2 = cores[p].shape
     if step > 0:
-        q, r = _qr_fixed(cores[p].reshape(r1 * k, r2, order="F"))
+        q, r = np.linalg.qr(cores[p].reshape(r1 * k, r2, order="F"))
         cores[p] = q.reshape(r1, k, -1, order="F")
         cores[p + 1] = np.tensordot(r, cores[p + 1], axes=(1, 0))
     else:
-        q, r = _qr_fixed(cores[p].reshape(r1, k * r2, order="F").T)
+        q, r = np.linalg.qr(cores[p].reshape(r1, k * r2, order="F").T)
         cores[p] = q.T.reshape(-1, k, r2, order="F")
         cores[p - 1] = np.tensordot(cores[p - 1], r.T, axes=(2, 0))
 
