@@ -69,7 +69,11 @@ class FitConfig:
     ``ranks`` are the interior train ranks (a scalar broadcasts to every
     bond; one above its unfolding bound min(k^p, k^(d-p)) is swept at the
     bound and returned zero-padded). ``lambdas`` weight the difference
-    penalty per dimension (a scalar broadcasts). ``penalty_order`` is the
+    penalty per dimension (a scalar broadcasts) and per fibre: dimension j's
+    term sums over the k^(d-1) fibres of the weight tensor along j, so the fit
+    divides lambda_j by k^(d-1), the P-spline scale. The misfit sums over rows,
+    so a cross-validation fold weights the same lambda against (F-1)/F of them,
+    1.5 times as strongly at F = 3. ``penalty_order`` is the
     difference order: 0 is plain ridge, 1 penalizes adjacent-weight jumps, 2
     curvature. ``epsilon`` stops the sweeps once the first-core objective
     stalls; ``max_sweeps`` is the hard cap.
@@ -95,7 +99,7 @@ class FitConfig:
     def resolved_ranks(self, d: int) -> tuple[int, ...]:
         return tuple(_normalize_rank_caps(self.ranks, d))
 
-    def resolved_lambdas(self, d: int) -> tuple[float, ...]:
+    def resolved_lambdas(self, d: int, k: int) -> tuple[float, ...]:
         if np.ndim(self.lambdas) == 0:
             lams = (float(self.lambdas),) * d
         else:
@@ -104,7 +108,7 @@ class FitConfig:
                 raise ValueError(f"need {d} penalty weights, got {len(lams)}")
         if not all(0 <= l < np.inf for l in lams):
             raise ValueError("penalty weights must be finite and non-negative")
-        return lams
+        return tuple(l / k ** (d - 1) for l in lams)
 
 
 @dataclass
@@ -346,7 +350,7 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
     k = basis.basis_count
     dmat = difference_matrix(k, cfg.penalty_order)
     ranks = (1,) + cfg.resolved_ranks(d) + (1,)
-    lambdas = cfg.resolved_lambdas(d)
+    lambdas = cfg.resolved_lambdas(d, k)
 
     rng = np.random.default_rng(cfg.seed)
     cores = [
@@ -466,7 +470,7 @@ def _grid_configs(cfg, grid, d, k):
     for i, lam in enumerate(grid):
         cfg_lam = dataclasses.replace(cfg, lambdas=lam)
         try:
-            cfg_lam.resolved_lambdas(d)
+            cfg_lam.resolved_lambdas(d, k)
         except ValueError as exc:
             raise ValueError(f"lambda grid value {lam!r} at position {i}: {exc}") from None
         cfgs.append(cfg_lam)

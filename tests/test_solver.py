@@ -636,7 +636,7 @@ class TestAlsFit:
         resid = data.y_est[lags.start_index:] - model.predict(data.u_est, data.y_est)
         full = tt_to_full(model.weights)
         dmat = difference_matrix(basis.basis_count, 2)
-        lams = cfg.resolved_lambdas(model.weights.order)
+        lams = cfg.resolved_lambdas(model.weights.order, basis.basis_count)
         ref = float(resid @ resid) + sum(
             lams[j] * dense_penalty(full, dmat, j) for j in range(model.weights.order)
         ) + _RIDGE * float(np.sum(full * full))
@@ -655,7 +655,7 @@ class TestAlsFit:
         d = model.weights.order
         bmats = [basis_rows(basis, x_rows[:, q]) for q in range(d)]
         dmat = difference_matrix(basis.basis_count, 2)
-        lams = cfg.resolved_lambdas(d)
+        lams = cfg.resolved_lambdas(d, basis.basis_count)
         full = tt_to_full(model.weights)
         half = [np.einsum("na,nb,nc,nd->nabcd", *bmats[h:h + 4]).reshape(len(targets), -1)
                 for h in (0, 4)]
@@ -744,7 +744,7 @@ class TestAlsFit:
         resid = data.y_est[spec.lags.start_index:] - model.predict(data.u_est, data.y_est)
         full = tt_to_full(model.weights)
         dmat = difference_matrix(basis.basis_count, alpha)
-        lams = cfg.resolved_lambdas(3)
+        lams = cfg.resolved_lambdas(3, basis.basis_count)
         ref = float(resid @ resid) + sum(
             lams[j] * dense_penalty(full, dmat, j) for j in range(3)
         ) + _RIDGE * float(np.sum(full * full))
@@ -768,7 +768,7 @@ class TestAlsFit:
         bmats = [basis_rows(basis, x_rows[:, q]) for q in range(tt.order)]
         a = build_design_matrix(tt, bmats, 0)
         dmat = difference_matrix(basis.basis_count, alpha)
-        lams = cfg.resolved_lambdas(tt.order)
+        lams = cfg.resolved_lambdas(tt.order, basis.basis_count)
         pen = sum(lams[j] * build_penalty_matrix(tt, dmat, 0, j) for j in range(tt.order))
         g = update_core(a, targets, [pen], [1.0])
         resid = targets - a @ g
@@ -800,11 +800,24 @@ class TestAlsFit:
         bmats = [basis_rows(basis, x_rows[:, q]) for q in range(tt.order)]
         a = build_design_matrix(tt, bmats, 0)
         dmat = difference_matrix(basis.basis_count, 1)
-        pen = sum(1e-3 * build_penalty_matrix(tt, dmat, 0, j) for j in range(tt.order))
+        lams = cfg.resolved_lambdas(tt.order, basis.basis_count)
+        pen = sum(lams[j] * build_penalty_matrix(tt, dmat, 0, j) for j in range(tt.order))
         g = update_core(a, targets, [pen], [1.0])
         resid = targets - a @ g
         obj = float(resid @ resid) + float(g @ pen @ g) + _RIDGE * float(g @ g)
         assert abs(obj - objs[-1]) <= 1e-8 * objs[-1]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_paper_layout_fit_beats_a_constant(self, seed):
+        # At d = 16 the penalty sums over 4^15 fibres per dimension; on the
+        # per-fibre scale a lambda of 0.1 leaves the surface free to follow
+        # the data, where the whole-tensor scale flattened it to a constant.
+        u, y, u_test, y_test = load_tanks().make_tanks(seed)
+        cfg = FitConfig(ranks=8, penalty_order=1, lambdas=0.1, max_sweeps=12, seed=0)
+        model, _ = als_fit(u, y, TANKS_LAGS, make_basis(3, 7), cfg)
+        truth = y_test[TANKS_LAGS.start_index:]
+        constant = rmse(truth, np.full(len(truth), np.mean(y)))
+        assert rmse(truth, model.predict(u_test, y_test)) <= 0.5 * constant
 
     def test_single_core_schedule(self):
         # With d = 1 every sweep is the one exact update of the only core, so
@@ -841,12 +854,12 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(ranks=0).resolved_ranks(3)
         with pytest.raises(ValueError):
-            FitConfig(lambdas=-0.5).resolved_lambdas(3)
+            FitConfig(lambdas=-0.5).resolved_lambdas(3, 4)
         with pytest.raises(ValueError):
             FitConfig(epsilon=np.nan)
         for lam in (np.nan, np.inf, (0.1, np.nan, 0.2), (0.1, 0.2, np.inf)):
             with pytest.raises(ValueError):
-                FitConfig(lambdas=lam).resolved_lambdas(3)
+                FitConfig(lambdas=lam).resolved_lambdas(3, 4)
         for field_name, value in (("max_sweeps", 2.5), ("max_sweeps", np.nan),
                                   ("max_sweeps", np.inf), ("penalty_order", 1.5),
                                   ("seed", 0.5), ("seed", "0")):
@@ -858,10 +871,15 @@ class TestFitConfig:
         with pytest.raises(ValueError, match="rank must be an integer"):
             FitConfig(ranks=ranks).resolved_ranks(3)
 
+    def test_lambdas_are_per_fibre(self):
+        # Each of the d terms sums over k^(d-1) fibres, so the fit divides by it.
+        assert FitConfig(lambdas=0.1).resolved_lambdas(3, 4) == (0.1 / 16,) * 3
+        assert FitConfig(lambdas=(0.0, 0.2)).resolved_lambdas(2, 5) == (0.0, 0.2 / 5)
+
     def test_zero_dimensional_arrays_broadcast(self):
         cfg = FitConfig(ranks=np.array(3), lambdas=np.array(0.1))
         assert cfg.resolved_ranks(4) == (3, 3, 3)
-        assert cfg.resolved_lambdas(4) == (0.1,) * 4
+        assert cfg.resolved_lambdas(4, k=1) == (0.1,) * 4
 
     def test_integral_values_become_ints(self):
         cfg = FitConfig(max_sweeps=3.0, penalty_order=np.int64(2), seed=np.float64(7))
