@@ -322,7 +322,7 @@ class TnbsModel:
     def load(cls, path) -> "TnbsModel":
         try:
             doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: not a valid model file: {exc}") from None
         if not isinstance(doc, dict) or doc.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(

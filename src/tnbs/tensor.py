@@ -165,6 +165,8 @@ def tt_svd(a: np.ndarray, max_ranks=None) -> TensorTrain:
     a = np.asarray(a, dtype=float)
     if a.ndim < 1:
         raise ValueError("input must have at least one mode")
+    if 0 in a.shape:
+        raise ValueError(f"tensor of shape {a.shape} has an empty mode")
     d = a.ndim
     shape = a.shape
     caps = [np.inf] * (d - 1) if max_ranks is None else _normalize_rank_caps(max_ranks, d)
@@ -177,7 +179,7 @@ def tt_svd(a: np.ndarray, max_ranks=None) -> TensorTrain:
         rem = rem.reshape(r_prev * k, -1, order="F")
         u, s, vt = np.linalg.svd(rem, full_matrices=False)
         # Numerical rank: exact decompositions do not carry zero directions.
-        r = int(np.count_nonzero(s > s[0] * max(rem.shape) * np.finfo(float).eps)) if s.size else 1
+        r = int(np.count_nonzero(s > s[0] * max(rem.shape) * np.finfo(float).eps))
         r = max(min(r, caps[p]), 1)
         cores.append(u[:, :r].reshape(r_prev, k, r, order="F"))
         rem = s[:r, None] * vt[:r, :]

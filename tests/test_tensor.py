@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,11 @@ class TestTtSvd:
     def test_zero_dimensional_rejected(self):
         with pytest.raises(ValueError, match="at least one mode"):
             tt_svd(np.array(1.0))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0,)])
+    def test_empty_mode_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"tensor of shape {shape} has an empty mode")):
+            tt_svd(np.zeros(shape))
 
     def test_d1(self):
         tt = tt_svd(np.array([1.0, 2.0]))
