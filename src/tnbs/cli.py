@@ -54,11 +54,12 @@ def read_signal_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 y.append(b)
     except UnicodeDecodeError:
         # The reader decodes a chunk at a time; one decode of the whole file gives
-        # the offset, which like exc.object starts after a byte-order mark.
+        # the offset, which like exc.object starts after a byte-order mark. The
+        # row counts the lines before it, ended as csv ends them, plus its own.
         try:
             Path(path).read_bytes().decode("utf-8-sig")
         except UnicodeDecodeError as exc:
-            row = exc.object[:exc.start].count(b"\n") + 1
+            row = len((exc.object[:exc.start] + b"?").splitlines())
             raise ValueError(f"{path}: row {row}: not UTF-8 text") from None
         raise
     if not u:

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import numpy as np
@@ -425,6 +426,12 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text("not json at all")
         with pytest.raises(ValueError):
+            TnbsModel.load(path)
+
+    def test_rejects_text_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a valid model file"):
             TnbsModel.load(path)
 
     @pytest.mark.parametrize("corrupt", [
