@@ -320,8 +320,9 @@ class TnbsModel:
 
     @classmethod
     def load(cls, path) -> "TnbsModel":
+        # utf-8-sig also reads a byte-order mark, as ``read_signal_csv`` does.
         try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+            doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: not a valid model file: {exc}") from None
         if not isinstance(doc, dict) or doc.get("format_version") != MODEL_FORMAT_VERSION:

@@ -18,17 +18,19 @@ penalties from the penalty Gram ``_gram_left``. Both chains are walked by
 ``tensor._walk``, which runs a kernel on the cores left of the updated core
 and on the flipped cores right of it, and refolds one product at each QR
 shift (``tensor._qr_shift``), so every chain product is computed once per
-sweep. The Gram walk starts from a 1 x 1 zero, so a vanishing weight adds
-exact zeros and no term is ever absent. The design rows are built with the
-sample index innermost, so every product broadcasts over the n samples, and
-come out in Fortran order; ``update_core`` takes an outside design in that
-order too, so the fit and it hand BLAS one layout. The sweep writes every
-design and normal matrix into one workspace per fit, sized for its widest
-core, since arrays of that size allocated per update are handed back to the
-OS when freed and paged in again at the next update. The public
-``build_design_matrix``, ``build_penalty_matrix`` and ``update_core`` are thin
-views over these kernels, the first two over the sweep's two walks started at
-the site asked for, so the checks on them exercise the fit's own path.
+sweep and dropped once a shift passes it: each walk holds the d + 1 products
+around the updated core. The Gram walk starts from a 1 x 1 zero, so a
+vanishing weight adds exact zeros and no term is ever absent. The design
+rows are built with the sample index innermost, so every product broadcasts
+over the n samples, and come out in Fortran order; ``update_core`` takes an
+outside design in that order too, so the fit and it hand BLAS one layout.
+The sweep writes every design and normal matrix into one workspace per fit,
+sized for its widest core, since arrays of that size allocated per update
+are handed back to the OS when freed and paged in again at the next update.
+The public ``build_design_matrix``, ``build_penalty_matrix`` and
+``update_core`` are thin views over these kernels, the first two over the
+sweep's two walks started at the site asked for, so the checks on them
+exercise the fit's own path.
 """
 
 from __future__ import annotations
@@ -364,7 +366,8 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
     trace.clipped_regressors = out_of_domain_count(x_rows)
 
     # Chain products around the updated core, per sample (data folds) and
-    # for the penalties (Grams); refolded on the side each QR shift moves.
+    # for the penalties (Grams); refolded on the side each QR shift moves,
+    # and dropped on the side it leaves.
     left, right, refold_folds = _fold_walk(cores, basis_mats, 0)
     lgram, rgram, refold_grams = _gram_walk(cores, dmat, lambdas, 0)
 

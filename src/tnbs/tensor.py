@@ -123,16 +123,21 @@ def _walk(carry, start, cores, site: int):
     ``carry(v, core, p)`` carries a product over core p. ``left[p]`` carries
     ``start`` over cores 0..p-1 (filled for p <= site), ``right[p]`` over the
     flipped cores d-1..p+1 (filled for p >= site). ``refold(p, step)`` fills
-    p + step from p once the canonical site moved from p by ``step``; it reads
-    ``cores`` at call time, so it follows a list updated in place.
+    p + step from p once the canonical site moved from p by ``step``, and drops
+    the product the shift made stale (``right[p]`` after a step right,
+    ``left[p]`` after a step left), so the walk holds the d + 1 products a walk
+    started at p + step holds. It reads ``cores`` at call time, so it follows a
+    list updated in place.
     """
     d = len(cores)
     left, right = [None] * d, [None] * d
     left[0] = right[d - 1] = start
 
     def refold(p, step):
-        core, prods = (cores[p], left) if step > 0 else (_flip(cores[p]), right)
+        core, prods, stale = ((cores[p], left, right) if step > 0
+                              else (_flip(cores[p]), right, left))
         prods[p + step] = carry(prods[p], core, p)
+        stale[p] = None
 
     for p in range(site):
         refold(p, 1)

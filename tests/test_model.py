@@ -416,6 +416,17 @@ class TestSerialization:
         loaded = TnbsModel.load(path)
         assert np.array_equal(model.predict(u, y), loaded.predict(u, y))
 
+    def test_model_with_byte_order_mark_loads(self, tmp_path):
+        # An editor may save JSON as "UTF-8 with BOM"; the loader reads it as
+        # read_signal_csv reads such CSVs.
+        rng = np.random.default_rng(5)
+        model = random_model(rng, 3, (2, 2), LagSpec((0, 1), (1,)))
+        u, y = rng.random(30), rng.random(30)
+        path, bom = tmp_path / "model.json", tmp_path / "bom.json"
+        model.save(path)
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert np.array_equal(model.predict(u, y), TnbsModel.load(bom).predict(u, y))
+
     def test_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format_version": 99}')

@@ -807,6 +807,37 @@ class TestAlsFit:
         obj = float(resid @ resid) + float(g @ pen @ g) + _RIDGE * float(g @ g)
         assert abs(obj - objs[-1]) <= 1e-8 * objs[-1]
 
+    def test_paper_layout_sweep_holds_only_live_products(self, monkeypatch):
+        # The paper's d = 16 layout: at every core update p, the fold walk and
+        # the Gram walk each hold the d + 1 products a walk started at p
+        # holds, left[0..p] and right[p..d-1]; a product a shift has passed
+        # is dropped.
+        u, y, _, _ = load_tanks().make_tanks(1)
+        d = TANKS_LAGS.dimension
+        walks, held = [], []
+        walk, kron_rows = tnbs.solver._walk, tnbs.solver._kron_rows
+
+        def recording_walk(*args):
+            walks.append(walk(*args))
+            return walks[-1]
+
+        def checking_kron_rows(right, mid, left, out=None):
+            p = next(q for q, v in enumerate(walks[0][0]) if v is left)
+            assert walks[0][1][p] is right
+            held.append((p, [[q for q, v in enumerate(prods) if v is not None]
+                             for lefts, rights, _ in walks for prods in (lefts, rights)]))
+            return kron_rows(right, mid, left, out)
+
+        monkeypatch.setattr(tnbs.solver, "_walk", recording_walk)
+        monkeypatch.setattr(tnbs.solver, "_kron_rows", checking_kron_rows)
+        cfg = FitConfig(ranks=8, penalty_order=1, lambdas=0.1, max_sweeps=2, seed=0)
+        als_fit(u, y, TANKS_LAGS, make_basis(3, 7), cfg)
+        monkeypatch.undo()
+        assert len(walks) == 2
+        assert [p for p, _ in held] == (list(range(d - 1)) + list(range(d - 1, 0, -1))) * 2
+        for p, filled in held:
+            assert filled == [list(range(p + 1)), list(range(p, d))] * 2, p
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_paper_layout_fit_beats_a_constant(self, seed):
         # At d = 16 each dimension's penalty sums over 4^15 fibres. Weighted

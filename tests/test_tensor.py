@@ -349,7 +349,8 @@ class TestWalk:
     @pytest.mark.parametrize("site, step", [(0, 1), (2, 1), (3, -1), (1, -1)])
     def test_refold_after_a_shift_is_a_fresh_walk(self, site, step):
         # The sweep keeps one walk: after a QR shift in place, refolding the
-        # moved side must give what a walk started at the new site gives.
+        # moved side must give what a walk started at the new site gives, and
+        # hold no more: the product the shift made stale is dropped.
         cores, carry, start = self.chain()
         left, right, refold = _walk(carry, start, cores, site)
         _qr_shift(cores, site, step)
@@ -357,6 +358,8 @@ class TestWalk:
         fresh_left, fresh_right, _ = _walk(carry, start, cores, site + step)
         assert np.array_equal(left[site + step], fresh_left[site + step])
         assert np.array_equal(right[site + step], fresh_right[site + step])
+        held = [[v is None for v in prods] for prods in (left, right)]
+        assert held == [[v is None for v in prods] for prods in (fresh_left, fresh_right)]
 
 
 def mode_product(a, c, axis):
