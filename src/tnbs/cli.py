@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -30,38 +31,32 @@ EXIT_NUMERIC = 3
 
 
 def read_signal_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    u, y = [], []
     # utf-8-sig also reads the byte-order mark of a spreadsheet's "CSV UTF-8".
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip().lower() for c in header] != ["u", "y"]:
-                raise ValueError(f"{path}: row 1: expected header 'u,y'")
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise ValueError(f"{path}: row {line_no}: expected 2 columns, got {len(row)}")
-                try:
-                    a, b = float(row[0]), float(row[1])
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: row {line_no}: cannot parse {row!r} as numbers") from None
-                if not (math.isfinite(a) and math.isfinite(b)):
-                    raise ValueError(f"{path}: row {line_no}: non-finite value")
-                u.append(a)
-                y.append(b)
-    except UnicodeDecodeError:
-        # The reader decodes a chunk at a time; one decode of the whole file gives
-        # the offset, which like exc.object starts after a byte-order mark. The
-        # row counts the lines before it, ended as csv ends them, plus its own.
+        text = Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object starts after a byte-order mark. The row counts the lines
+        # before the bad byte, ended as csv ends them, plus its own.
+        row = len((exc.object[:exc.start] + b"?").splitlines())
+        raise ValueError(f"{path}: row {row}: not UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or [c.strip().lower() for c in header] != ["u", "y"]:
+        raise ValueError(f"{path}: row 1: expected header 'u,y'")
+    u, y = [], []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ValueError(f"{path}: row {line_no}: expected 2 columns, got {len(row)}")
         try:
-            Path(path).read_bytes().decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            row = len((exc.object[:exc.start] + b"?").splitlines())
-            raise ValueError(f"{path}: row {row}: not UTF-8 text") from None
-        raise
+            a, b = float(row[0]), float(row[1])
+        except ValueError:
+            raise ValueError(f"{path}: row {line_no}: cannot parse {row!r} as numbers") from None
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"{path}: row {line_no}: non-finite value")
+        u.append(a)
+        y.append(b)
     if not u:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(u), np.asarray(y)

@@ -136,10 +136,7 @@ def difference_matrix(k: int, alpha: int) -> np.ndarray:
         raise ValueError("difference order must be non-negative")
     if alpha >= k:
         raise ValueError(f"difference order {alpha} needs more than {alpha} weights, got {k}")
-    d = np.eye(k)
-    for _ in range(alpha):
-        d = d[:-1, :] - d[1:, :]
-    return d
+    return np.diff((-1.0) ** alpha * np.eye(k), alpha, axis=0)
 
 
 def dense_penalty(w: np.ndarray, d_mat: np.ndarray, axis: int) -> float:
@@ -443,7 +440,7 @@ def cross_validate_lambda(u, y, lags, basis, cfg, lambda_grid, folds: int,
     folds = _as_int(folds, "folds")
     if folds < 2:
         raise ValueError("cross-validation needs at least 2 folds")
-    cfgs = _grid_configs(cfg, grid, lags.dimension, basis.basis_count)
+    _check_grid(cfg, grid, lags.dimension, basis.basis_count)
     if scaling is None:
         scaling = Scaling.fit(u, y)
     x_rows, targets, _ = build_regressors(u, y, lags, scaling)
@@ -452,7 +449,7 @@ def cross_validate_lambda(u, y, lags, basis, cfg, lambda_grid, folds: int,
         raise ValueError(f"{folds} folds exceed the {n} available samples")
     blocks = np.array_split(np.arange(n), folds)
     jobs = [(li, fi) for li in range(len(grid)) for fi in range(folds)]
-    results = _run_cv_jobs((x_rows, targets, blocks, lags, basis, cfgs, scaling), jobs)
+    results = _run_cv_jobs((x_rows, targets, blocks, lags, basis, cfg, grid, scaling), jobs)
     failed = next((i for i, r in enumerate(results) if isinstance(r[1], Exception)), len(results))
     for category, message, filename, lineno in dict.fromkeys(
             w for _, _, caught in results[:failed + 1] for w in caught):
@@ -465,19 +462,15 @@ def cross_validate_lambda(u, y, lags, basis, cfg, lambda_grid, folds: int,
     return grid[best], scores
 
 
-def _grid_configs(cfg, grid, d, k):
-    """One FitConfig per grid value, checked as the fits would check them."""
+def _check_grid(cfg, grid, d, k):
+    """Check the ranks, the penalty order and every grid value as the fits would."""
     cfg.resolved_ranks(d)
     difference_matrix(k, cfg.penalty_order)
-    cfgs = []
     for i, lam in enumerate(grid):
-        cfg_lam = dataclasses.replace(cfg, lambdas=lam)
         try:
-            cfg_lam.resolved_lambdas(d, k)
+            dataclasses.replace(cfg, lambdas=lam).resolved_lambdas(d, k)
         except ValueError as exc:
             raise ValueError(f"lambda grid value {lam!r} at position {i}: {exc}") from None
-        cfgs.append(cfg_lam)
-    return cfgs
 
 
 # Workers start at one BLAS thread each, so W workers share W cores without
@@ -533,17 +526,18 @@ def _run_cv_jobs(inputs, jobs):
 def _cv_worker():
     """Entry point of a cross-validation worker interpreter.
 
-    Reads (rows, targets, blocks, lags, basis, per-grid configs, scaling,
-    jobs, caller pid) pickled on stdin. For each (grid index, fold) job in
-    turn it fits on the other blocks and scores the held-out one, recording
-    every warning. Writes one (job, RMSE or exception, warnings) triple per
+    Reads (rows, targets, blocks, lags, basis, the caller's one FitConfig,
+    the whole lambda grid, scaling, jobs, caller pid) pickled on stdin. For
+    each (grid index, fold) job in turn it fits the config with its lambdas
+    set to that grid value on the other blocks and scores the held-out one,
+    recording every warning. Writes one (job, RMSE or exception, warnings) triple per
     job, up to and including the first that fails, pickled on stdout. It
     exits without writing once the caller is no longer its parent, since a
     caller killed by a signal cannot stop its workers itself.
     """
     out = sys.stdout.buffer
     sys.stdout = sys.stderr  # stray prints must not corrupt the result
-    (x_rows, targets, blocks, lags, basis, cfgs, scaling, jobs,
+    (x_rows, targets, blocks, lags, basis, cfg, grid, scaling, jobs,
      caller) = pickle.load(sys.stdin.buffer)
     results = []
     for li, fi in jobs:
@@ -554,7 +548,7 @@ def _cv_worker():
             try:
                 train_idx = np.concatenate([b for bi, b in enumerate(blocks) if bi != fi])
                 model, _ = _fit_rows(x_rows[train_idx], targets[train_idx], lags, basis,
-                                     cfgs[li], scaling)
+                                     dataclasses.replace(cfg, lambdas=grid[li]), scaling)
                 pred = scaling.unscale_y(model._surface_rows(x_rows[blocks[fi]]))
                 outcome = rmse(scaling.unscale_y(targets[blocks[fi]]), pred)
             except Exception as exc:
