@@ -26,6 +26,7 @@ from .solver import FitConfig, NumericalError, als_fit, cross_validate_lambda
 from .synth import SynthSpec, make_dataset
 
 EXIT_OK = 0
+EXIT_WORKER = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
@@ -322,6 +323,10 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except RuntimeError as exc:
+        # A cross-validation worker died without a result.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

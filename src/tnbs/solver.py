@@ -431,8 +431,11 @@ def cross_validate_lambda(u, y, lags, basis, cfg, lambda_grid, folds: int,
     Every grid value and the ranks and penalty order are checked before any
     fit starts. The (grid value, fold) fits run in up to one worker process
     per usable CPU, each at one BLAS thread, so the scores do not depend on
-    the caller's thread settings. The workers' warnings are issued and the
-    first failing fit's exception is raised here, in (grid value, fold) order.
+    the caller's thread settings. Each worker is sent the rows, the blocks,
+    the one ``cfg`` and the whole grid once, and sets the lambdas of a job
+    itself. The workers' warnings are issued and the first failing fit's
+    exception is raised here, in (grid value, fold) order; a worker that dies
+    without a result raises RuntimeError.
     """
     grid = [float(l) for l in lambda_grid]
     if not grid:
@@ -530,10 +533,10 @@ def _cv_worker():
     the whole lambda grid, scaling, jobs, caller pid) pickled on stdin. For
     each (grid index, fold) job in turn it fits the config with its lambdas
     set to that grid value on the other blocks and scores the held-out one,
-    recording every warning. Writes one (job, RMSE or exception, warnings) triple per
-    job, up to and including the first that fails, pickled on stdout. It
-    exits without writing once the caller is no longer its parent, since a
-    caller killed by a signal cannot stop its workers itself.
+    recording every warning. Writes one (job, RMSE or exception, warnings)
+    triple per job, up to and including the first that fails, pickled on
+    stdout. It exits without writing once the caller is no longer its
+    parent, since a caller killed by a signal cannot stop its workers itself.
     """
     out = sys.stdout.buffer
     sys.stdout = sys.stderr  # stray prints must not corrupt the result

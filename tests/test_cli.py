@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -110,6 +111,19 @@ def test_cv_table(dataset, tmp_path, capsys):
     assert len(report["scores"]) == 2
     assert all(len(row) == 2 for row in report["scores"])
     assert report["chosen_lambda"] in (0.0, 0.01)
+
+
+def test_cv_worker_death_exits_1_without_traceback(dataset, tmp_path, monkeypatch, capsys):
+    # Every worker interpreter (started as ``python -c``) dies at start-up.
+    (tmp_path / "sitecustomize.py").write_text(
+        "import os, sys\nif sys.argv[0] == '-c':\n    os._exit(9)\n", encoding="utf-8")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")])))
+    code = main(["cv", "--data", dataset + "_est.csv", "--lambdas", "0,0.01", "--folds", "2",
+                 "--sweeps", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: a cross-validation worker exited with code 9 without a result\n")
 
 
 def test_missing_data_file_exits_2_without_model(tmp_path, capsys):
@@ -380,13 +394,30 @@ def test_csv_with_byte_order_mark(tmp_path):
     (b"", b"\n", 3000),
 ], ids=["plain", "byte-order-mark", "crlf", "cr", "past-first-chunk"])
 def test_csv_not_utf8_names_row(tmp_path, capsys, head, end, rows):
-    # The bad byte sits on row rows + 2; a long file puts it past the first
-    # chunk the reader decodes, and a byte-order mark must not shift the count.
+    # The bad byte sits on row rows + 2, far into a long file; a byte-order
+    # mark must not shift the count.
     bad = tmp_path / "bad.csv"
     bad.write_bytes(head + b"u,y" + end + (b"0.1,0.2" + end) * rows + b"0.3,\xff" + end)
     code = main(["fit", "--data", str(bad), "--out", str(tmp_path / "m.json")])
     assert code == 2
     assert f"{bad}: row {rows + 2}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_csv_line_ends_and_byte_order_mark_read_alike(tmp_path):
+    # One data set with a blank line, in each line end, with and without a
+    # byte-order mark, must read back as the very floats that were written.
+    rng = np.random.default_rng(3)
+    u, y = rng.random(40), rng.standard_normal(40)
+    write_signal_csv(tmp_path / "ref.csv", u, y)
+    lines = (tmp_path / "ref.csv").read_bytes().splitlines()
+    lines.insert(5, b"")
+    path = tmp_path / "variant.csv"
+    for head in (b"", b"\xef\xbb\xbf"):
+        for end in (b"\n", b"\r\n", b"\r"):
+            path.write_bytes(head + end.join(lines) + end)
+            got_u, got_y = read_signal_csv(path)
+            assert got_u.tobytes() == u.tobytes(), (head, end)
+            assert got_y.tobytes() == y.tobytes(), (head, end)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -67,6 +67,19 @@ class TestDifferenceMatrix:
         with pytest.raises(ValueError, match="difference order must be non-negative"):
             difference_matrix(4, -1)
 
+    def test_bytes_match_a_differencing_loop(self):
+        # Differencing adjacent rows of the identity alpha times is the
+        # P-spline construction; the matrix must equal it byte for byte,
+        # signed zeros included, so every penalty is rounded alike.
+        for k in range(1, 13):
+            for alpha in range(k):
+                want = np.eye(k)
+                for _ in range(alpha):
+                    want = want[:-1, :] - want[1:, :]
+                got = difference_matrix(k, alpha)
+                assert got.dtype == want.dtype and got.shape == want.shape, (k, alpha)
+                assert got.tobytes() == want.tobytes(), (k, alpha)
+
     def test_integral_float_arguments_accepted(self):
         assert np.array_equal(difference_matrix(4.0, 2.0), difference_matrix(4, 2))
         with pytest.raises(ValueError, match=r"order alpha must be an integer, got 1\.5"):
