@@ -6,13 +6,13 @@ updated core, and the smoothness penalties (squared differences of adjacent
 weights along every dimension) reduce to quadratic forms with the same
 Kronecker structure. Sweeping keeps the train mixed-canonical at the updated
 core via QR steps, which makes the local objective equal the global one and
-the iteration monotone.
+the iteration monotone in exact arithmetic.
 
 Each core update runs five steps in order: ``_kron_rows`` builds the design
 rows A, A'A is formed, ``_add_penalties`` adds the collapsed penalty matrix P
 onto it, ``_solve_core`` solves (A'A + P + tau I) g = A'y with the ridge
-floor tau = ``_RIDGE``, and the objective (misfit, penalty and tau ||g||^2)
-decides whether g replaces the core: a step that raises it is rejected.
+floor tau = ``_RIDGE``, and g replaces the core, its objective (misfit,
+penalty and tau ||g||^2) recorded.
 The design rows come from the chain fold ``tensor._fold_left`` and the
 penalties from the penalty Gram ``_gram_left``. Both chains are walked by
 ``tensor._walk``, which runs a kernel on the cores left of the updated core
@@ -382,15 +382,9 @@ def _fit_rows(x_rows, targets, lags, basis, cfg, scaling):
         _add_penalties(h, *pens)
         g = _solve_core(h, a_mat.T @ targets)
         resid = targets - a_mat @ g
-        obj = float(resid @ resid) + _penalty_value(g, *pens) + _RIDGE * float(g @ g)
-        prev = trace.update_objectives[-1] if trace.update_objectives else np.inf
-        if obj <= prev:
-            cores[p] = g.reshape(r1, k, r2, order="F")
-        else:
-            # Coordinate descent may always reject a non-improving step; the
-            # current core already attains the previous objective.
-            obj = prev
-        trace.update_objectives.append(obj)
+        cores[p] = g.reshape(r1, k, r2, order="F")
+        trace.update_objectives.append(
+            float(resid @ resid) + _penalty_value(g, *pens) + _RIDGE * float(g @ g))
 
     # One sweep: left to right, then back; a single core is updated alone.
     schedule = [(p, 1) for p in range(d - 1)] + [(p, -1) for p in range(d - 1, 0, -1)]
