@@ -118,7 +118,9 @@ class SweepTrace:
     """Objective values and diagnostics recorded while fitting.
 
     Each objective counts the data misfit, the weighted penalties and the
-    ridge floor ``_RIDGE`` times the train's squared norm.
+    ridge floor ``_RIDGE`` times the train's squared norm. Every update keeps
+    its exact solve, so the records never rise in exact arithmetic; computed,
+    they may rise by rounding.
     """
 
     first_core_objectives: list[float] = field(default_factory=list)
